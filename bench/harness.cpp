@@ -1,5 +1,6 @@
 #include "harness.hpp"
 
+#include <cctype>
 #include <cstdlib>
 #include <sstream>
 
@@ -75,37 +76,21 @@ std::unique_ptr<tuner::Tuner> make_tuner(const std::string& method,
                                          const BenchConfig& config,
                                          const ArtifactCache::Entry& entry,
                                          std::uint64_t seed) {
-  if (method == "csTuner") {
-    core::CsTunerOptions options;
-    options.dataset_size = config.dataset_size;
-    options.universe_size = config.universe_size;
-    options.ga = paper_ga_options();
-    options.seed = seed;
-    auto tuner = std::make_unique<core::CsTuner>(options);
-    tuner->set_dataset(entry.dataset);
-    tuner->set_universe(entry.universe);
-    return tuner;
+  core::CsTunerOptions options;
+  options.dataset_size = config.dataset_size;
+  options.universe_size = config.universe_size;
+  options.ga = paper_ga_options();
+  options.seed = seed;
+  // The baselines' display names are their registry names, capitalised.
+  std::string name = method;
+  if (name != "csTuner") {
+    for (char& c : name) {
+      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    }
   }
-  if (method == "Garvey") {
-    baselines::GarveyOptions options;
-    options.dataset_size = config.dataset_size;
-    options.seed = seed;
-    auto tuner = std::make_unique<baselines::Garvey>(options);
-    tuner->set_dataset(entry.dataset);
-    return tuner;
-  }
-  if (method == "OpenTuner") {
-    baselines::OpenTunerOptions options;
-    options.ga = paper_ga_options();
-    options.seed = seed;
-    return std::make_unique<baselines::OpenTuner>(options);
-  }
-  if (method == "Artemis") {
-    baselines::ArtemisOptions options;
-    options.seed = seed;
-    return std::make_unique<baselines::Artemis>(options);
-  }
-  throw UsageError("unknown method: " + method);
+  auto tuner = search::make_tuner(name, options);
+  search::share_artifacts(*tuner, entry.dataset, entry.universe);
+  return tuner;
 }
 
 RunResult run_tuning(const ArtifactCache::Entry& entry,

@@ -52,7 +52,8 @@ class ArtifactCache {
   std::map<std::string, std::unique_ptr<Entry>> entries_;
 };
 
-/// The four §V methods. `seed` varies across repeats.
+/// The four §V methods, resolved through search::make_tuner. `seed` varies
+/// across repeats.
 std::unique_ptr<tuner::Tuner> make_tuner(const std::string& method,
                                          const BenchConfig& config,
                                          const ArtifactCache::Entry& entry,

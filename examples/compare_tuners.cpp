@@ -1,5 +1,6 @@
 // Head-to-head of the four §V methods (plus the extra OpenTuner techniques)
-// on one stencil under the same virtual-time budget.
+// on one stencil under the same virtual-time budget, every method resolved
+// by search::make_tuner.
 //
 //   $ ./compare_tuners [stencil] [budget_seconds]
 
@@ -25,49 +26,27 @@ int main(int argc, char** argv) {
   const auto universe = space.sample_universe(rng, 8000);
   const auto dataset = tuner::collect_dataset(space, simulator, 128, rng);
 
-  struct Row {
-    std::string name;
-    std::unique_ptr<tuner::Tuner> tuner;
+  // Display name -> search::make_tuner name.
+  const std::vector<std::pair<std::string, std::string>> rows = {
+      {"csTuner", "csTuner"},
+      {"Garvey", "garvey"},
+      {"OpenTuner (global GA)", "opentuner"},
+      {"OpenTuner (hill climber)", "hill"},
+      {"OpenTuner (diff. evolution)", "opentuner-de"},
+      {"Artemis", "artemis"},
   };
-  std::vector<Row> rows;
-  {
-    core::CsTunerOptions o;
-    auto t = std::make_unique<core::CsTuner>(o);
-    t->set_dataset(dataset);
-    t->set_universe(universe);
-    rows.push_back({"csTuner", std::move(t)});
-  }
-  {
-    baselines::GarveyOptions o;
-    auto t = std::make_unique<baselines::Garvey>(o);
-    t->set_dataset(dataset);
-    rows.push_back({"Garvey", std::move(t)});
-  }
-  rows.push_back({"OpenTuner (global GA)",
-                  std::make_unique<baselines::OpenTuner>()});
-  {
-    baselines::OpenTunerOptions o;
-    o.technique = baselines::OpenTunerTechnique::kHillClimber;
-    rows.push_back({"OpenTuner (hill climber)",
-                    std::make_unique<baselines::OpenTuner>(o)});
-  }
-  {
-    baselines::OpenTunerOptions o;
-    o.technique = baselines::OpenTunerTechnique::kDifferentialEvolution;
-    rows.push_back({"OpenTuner (diff. evolution)",
-                    std::make_unique<baselines::OpenTuner>(o)});
-  }
-  rows.push_back({"Artemis", std::make_unique<baselines::Artemis>()});
 
   std::cout << "stencil " << name << ", budget " << budget_s
             << " virtual s\n\n"
             << std::left << std::setw(30) << "method" << std::setw(12)
             << "best_ms" << std::setw(10) << "evals" << std::setw(8)
             << "iters" << "used_s\n";
-  for (auto& row : rows) {
+  for (const auto& [display, method] : rows) {
+    auto tuner = search::make_tuner(method, core::CsTunerOptions{});
+    search::share_artifacts(*tuner, dataset, universe);
     tuner::Evaluator evaluator(simulator, space, {}, 23);
-    row.tuner->tune(evaluator, {.max_virtual_seconds = budget_s});
-    std::cout << std::left << std::setw(30) << row.name << std::setw(12)
+    tuner->tune(evaluator, {.max_virtual_seconds = budget_s});
+    std::cout << std::left << std::setw(30) << display << std::setw(12)
               << std::setprecision(4) << evaluator.best_time_ms()
               << std::setw(10) << evaluator.unique_evaluations()
               << std::setw(8) << evaluator.iterations()

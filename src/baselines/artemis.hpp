@@ -3,6 +3,9 @@
 // knowledge. High-impact optimizations are tuned first; after each stage
 // only a few high-performance candidates survive into the next stage, which
 // refines the lower-impact parameters around each survivor.
+//
+// Every method name runs search::ArtemisOptimizer; this loop stays only as
+// the reference its regression pins compare against.
 
 #include "tuner/evaluator.hpp"
 

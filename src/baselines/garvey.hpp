@@ -7,6 +7,9 @@
 // is searched exhaustively over a random sample of its value combinations
 // (the paper's configured "optimization of grouping by dimension ...
 // sampling ratio also set to 10%").
+//
+// Every method name runs search::GarveyOptimizer; this loop stays only as
+// the reference its regression pins compare against.
 
 #include <optional>
 

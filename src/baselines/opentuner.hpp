@@ -4,6 +4,10 @@
 // parameter, no grouping, no sampling), with GA options matching csTuner's.
 // Two extra OpenTuner-style search techniques — greedy hill climbing and
 // differential evolution — are provided for the extension benchmarks.
+//
+// Every method name runs the search:: ports (opentuner-ga, hill,
+// opentuner-de); these loops stay only as the reference their regression
+// pins compare against.
 
 #include "ga/island_ga.hpp"
 #include "tuner/evaluator.hpp"

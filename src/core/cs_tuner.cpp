@@ -68,14 +68,14 @@ void CsTuner::tune(tuner::Evaluator& evaluator,
     CSTUNER_TRACE_PHASE("cstuner.offline");
     if (preset_universe_.has_value()) {
       universe = *preset_universe_;
-    } else if (options_.enumerate_universe) {
-      // Constraint-propagating enumeration: exact count, then either the
-      // full valid space or a deterministic spread sample of it. The
-      // sample phase is salted from the tuner RNG (same discipline as
-      // sample_universe): an unsalted sample lands on every block's start,
-      // and block starts repeat the same inner lexicographic values, which
-      // collapses per-parameter diversity enough to starve the per-group
-      // GA of distinct tuples.
+    } else {
+      // Constraint-propagating enumeration (space::LazyUniverse): exact
+      // count, then either the full valid space or a deterministic spread
+      // sample of it. The sample phase is salted from the tuner RNG (same
+      // discipline as SearchSpace::sample_universe): an unsalted sample
+      // lands on every block's start, and block starts repeat the same
+      // inner lexicographic values, which collapses per-parameter diversity
+      // enough to starve the per-group GA of distinct tuples.
       space::LazyUniverse lazy(space, {}, evaluator.thread_pool());
       report_.universe_exact_count = lazy.valid_count();
       if (lazy.valid_count() <= options_.universe_size) {
@@ -83,13 +83,11 @@ void CsTuner::tune(tuner::Evaluator& evaluator,
       } else {
         universe = lazy.spread_sample(options_.universe_size, rng.next() | 1);
       }
-    } else {
-      universe = space.sample_universe(rng, options_.universe_size);
     }
     // Static pruning: preset universes may carry constraint-invalid
-    // settings; drop them before any tuning stage sees them.
-    // sample_universe() output is valid by construction, so this only seeds
-    // the pruner's memo there.
+    // settings; drop them before any tuning stage sees them. An enumerated
+    // universe is valid by construction, so this only seeds the pruner's
+    // memo there.
     report_.universe_pruned = pruner.prune(universe);
     if (preset_dataset_.has_value()) {
       dataset = *preset_dataset_;

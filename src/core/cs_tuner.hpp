@@ -45,15 +45,6 @@ struct CsTunerOptions {
   /// text leave it off (the virtual clock already charges per-variant
   /// compile cost at evaluation time). Fig. 12 turns it on.
   bool generate_kernels = false;
-  /// Build the candidate universe by constraint-propagating enumeration
-  /// (space::LazyUniverse): the exact valid count is computed, spaces no
-  /// larger than universe_size are enumerated in full, larger ones
-  /// contribute a deterministic count-proportioned spread sample. No RNG
-  /// involved — the universe is a pure function of the space, bit-identical
-  /// across worker counts. The default since sample_universe itself moved
-  /// onto the enumerator; false (`tune --no-enumerate`) routes through
-  /// sample_universe, whose spread phase is salted from the seed.
-  bool enumerate_universe = true;
   std::uint64_t seed = 7;
 };
 
@@ -72,8 +63,8 @@ struct PreprocessReport {
   /// Constraint-invalid settings dropped from the candidate universe before
   /// tuning (only preset universes can contain them).
   std::size_t universe_pruned = 0;
-  /// Exact valid-setting count of the whole space (enumerate_universe only;
-  /// 0 when rejection sampling was used).
+  /// Exact valid-setting count of the whole space (0 when the universe was
+  /// preset).
   std::uint64_t universe_exact_count = 0;
   /// Static-pruner counters over the whole run (universe + in-loop grafts).
   analysis::StaticPruner::Stats prune;

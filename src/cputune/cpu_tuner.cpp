@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <unordered_map>
@@ -115,7 +116,10 @@ CpuTuneResult CpuTuner::tune(const CpuSpace& space,
   }
   result.sampled_count = sampled.size();
 
-  // --- Evaluation bookkeeping.
+  // --- Evaluation bookkeeping. IslandGa::run calls fitness from every
+  // island thread at once, so the GA's fitness and stop callbacks hold
+  // `mutex` around everything below; the serial stages run without it.
+  std::mutex mutex;
   std::unordered_map<std::uint64_t, double> cache;
   double best_time = std::numeric_limits<double>::infinity();
   CpuSetting best = dataset.front();
@@ -187,11 +191,15 @@ CpuTuneResult CpuTuner::tune(const CpuSpace& space,
                           ga_options);
       island.run(
           [&](const ga::Genome& genome) {
+            std::lock_guard<std::mutex> lock(mutex);
             const double t = evaluate(graft(genome[0]));
             return std::isfinite(t) ? 1000.0 / t : 1e-9;
           },
           [&](const ga::GaState& state) {
-            if (result.evaluations >= options_.max_evaluations) return true;
+            {
+              std::lock_guard<std::mutex> lock(mutex);
+              if (result.evaluations >= options_.max_evaluations) return true;
+            }
             if (state.generation < 2) return false;
             std::vector<double> top;
             for (double f : state.fitnesses) {

@@ -22,6 +22,7 @@ DriveResult run_optimizer(Optimizer& optimizer, tuner::Evaluator& evaluator,
   optimizer.bind(evaluator);
   DriveResult out;
   bool stop_allowed = optimizer.stop_check_allowed();
+  std::size_t stalled_steps = 0;
   for (;;) {
     if (stop_allowed && stop.reached(evaluator)) break;
     const std::vector<space::Setting> batch = optimizer.propose();
@@ -29,7 +30,10 @@ DriveResult run_optimizer(Optimizer& optimizer, tuner::Evaluator& evaluator,
       out.exhausted = true;
       break;
     }
+    const std::size_t evals_before = evaluator.unique_evaluations();
     const auto results = evaluator.evaluate_batch(batch);
+    stalled_steps =
+        evaluator.unique_evaluations() > evals_before ? 0 : stalled_steps + 1;
     optimizer.observe(batch, results);
     optimizer.note_step();
     ++out.steps;
@@ -41,6 +45,10 @@ DriveResult run_optimizer(Optimizer& optimizer, tuner::Evaluator& evaluator,
         cp->set_optimizer_state_json(state.str());
       }
       evaluator.mark_iteration();
+    }
+    if (stalled_steps >= kMaxStallSteps) {
+      out.exhausted = true;
+      break;
     }
     stop_allowed = optimizer.stop_check_allowed();
   }

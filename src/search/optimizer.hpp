@@ -106,13 +106,22 @@ class Optimizer {
 struct DriveResult {
   std::size_t steps = 0;      ///< propose/observe rounds completed
   std::size_t proposals = 0;  ///< settings proposed across all rounds
-  bool exhausted = false;     ///< the optimizer ran out of candidates
+  bool exhausted = false;     ///< out of candidates, or stalled
 };
 
+/// Consecutive steps without a new unique evaluation after which the driver
+/// ends a run as exhausted. Cache hits charge no virtual time, so an
+/// optimizer whose proposals have collapsed onto settings it already
+/// measured would otherwise never reach a virtual budget. The longest such
+/// stall of any run that ends on its own is 7792 steps (pso, cheby/v100,
+/// seed 7, 60 s); a guarded livelock costs a fraction of a second of wall.
+inline constexpr std::size_t kMaxStallSteps = 20000;
+
 /// Drives `optimizer` against `evaluator` until the stop criteria are met
-/// (at a boundary the optimizer allows) or the optimizer exhausts its
-/// candidates. When a Checkpoint is attached to the evaluator, the
-/// optimizer's serialized state is pushed into it at every iteration
+/// (at a boundary the optimizer allows), the optimizer exhausts its
+/// candidates, or kMaxStallSteps steps in a row add no unique evaluation
+/// (reported as exhausted). When a Checkpoint is attached to the evaluator,
+/// the optimizer's serialized state is pushed into it at every iteration
 /// boundary, just before the mark flushes the journal.
 DriveResult run_optimizer(Optimizer& optimizer, tuner::Evaluator& evaluator,
                           const tuner::StopCriteria& stop);

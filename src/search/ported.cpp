@@ -396,6 +396,10 @@ void OpenTunerDeOptimizer::observe(const std::vector<Setting>& batch,
 GarveyOptimizer::GarveyOptimizer(baselines::GarveyOptions options)
     : options_(options) {}
 
+void GarveyOptimizer::set_dataset(tuner::PerfDataset dataset) {
+  preset_dataset_ = std::move(dataset);
+}
+
 void GarveyOptimizer::bind(tuner::Evaluator& evaluator) {
   using namespace space;
   space_ = &evaluator.space();
@@ -404,10 +408,14 @@ void GarveyOptimizer::bind(tuner::Evaluator& evaluator) {
   // Offline stages, verbatim from baselines::Garvey::tune: dataset, forest,
   // memory-flag prediction. The dataset measures through the simulator
   // directly, so none of it charges the evaluator's clock — bind() keeps
-  // the "no evaluations" contract.
-  const tuner::PerfDataset dataset = tuner::collect_dataset(
-      *space_, evaluator.simulator(), options_.dataset_size, rng_,
-      evaluator.thread_pool());
+  // the "no evaluations" contract. A preset dataset draws nothing from the
+  // RNG, exactly as in the original.
+  const tuner::PerfDataset dataset =
+      preset_dataset_.has_value()
+          ? *preset_dataset_
+          : tuner::collect_dataset(*space_, evaluator.simulator(),
+                                   options_.dataset_size, rng_,
+                                   evaluator.thread_pool());
   std::vector<double> features;
   features.reserve(dataset.size() * kParamCount);
   for (const auto& s : dataset.settings) {

@@ -152,6 +152,9 @@ class GarveyOptimizer : public Optimizer {
   explicit GarveyOptimizer(baselines::GarveyOptions options);
 
   std::string name() const override { return "garvey"; }
+  /// Trains the forest on `dataset` instead of collecting one at bind(), so
+  /// method comparisons can share csTuner's dataset.
+  void set_dataset(tuner::PerfDataset dataset);
   void bind(tuner::Evaluator& evaluator) override;
   std::vector<space::Setting> propose() override;
   void observe(const std::vector<space::Setting>& batch,
@@ -161,6 +164,7 @@ class GarveyOptimizer : public Optimizer {
 
  private:
   baselines::GarveyOptions options_;
+  std::optional<tuner::PerfDataset> preset_dataset_;
 
   const space::SearchSpace* space_ = nullptr;
   Rng rng_{0};

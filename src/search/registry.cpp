@@ -7,13 +7,13 @@
 #include "common/error.hpp"
 #include "search/novel.hpp"
 #include "search/ported.hpp"
+#include "tuner/checkpoint.hpp"
 
 namespace cstuner::search {
 
 namespace {
 
-std::string joined_names(const OptimizerRegistry& registry) {
-  const auto names = registry.names();
+std::string joined(const std::vector<std::string>& names) {
   if (names.empty()) return "none";
   std::string out;
   for (const auto& name : names) {
@@ -37,7 +37,7 @@ std::unique_ptr<Optimizer> OptimizerRegistry::make(
   const auto it = factories_.find(name);
   if (it == factories_.end()) {
     throw UsageError("unknown optimizer '" + name +
-                     "' (available: " + joined_names(*this) + ")");
+                     "' (available: " + joined(names()) + ")");
   }
   return it->second(options);
 }
@@ -106,6 +106,47 @@ OptimizerRegistry& optimizer_registry() {
     return r;
   }();
   return registry;
+}
+
+OptimizerTuner::OptimizerTuner(std::unique_ptr<Optimizer> optimizer)
+    : optimizer_(std::move(optimizer)) {}
+
+void OptimizerTuner::tune(tuner::Evaluator& evaluator,
+                          const tuner::StopCriteria& stop) {
+  // Natively-checkpointable optimizers continue from the snapshot; the
+  // rest decline and resume by journal replay.
+  if (const tuner::Checkpoint* cp = evaluator.checkpoint();
+      cp != nullptr && cp->loaded_optimizer_state().has_value()) {
+    optimizer_->restore_state(*cp->loaded_optimizer_state());
+  }
+  run_optimizer(*optimizer_, evaluator, stop);
+}
+
+std::unique_ptr<tuner::Tuner> make_tuner(const std::string& name,
+                                         const core::CsTunerOptions& options) {
+  if (name == "csTuner") return std::make_unique<core::CsTuner>(options);
+  const std::string optimizer = name == "opentuner" ? "opentuner-ga" : name;
+  const OptimizerRegistry& registry = optimizer_registry();
+  if (!registry.contains(optimizer)) {
+    std::vector<std::string> names = {"csTuner", "opentuner"};
+    for (const auto& n : registry.names()) names.push_back(n);
+    throw UsageError("unknown method '" + name + "' (available: " +
+                     joined(names) + ")");
+  }
+  return std::make_unique<OptimizerTuner>(
+      registry.make(optimizer, {.seed = options.seed, .ga = options.ga}));
+}
+
+void share_artifacts(tuner::Tuner& tuner, const tuner::PerfDataset& dataset,
+                     const std::vector<space::Setting>& universe) {
+  if (auto* cs = dynamic_cast<core::CsTuner*>(&tuner)) {
+    cs->set_dataset(dataset);
+    cs->set_universe(universe);
+  } else if (auto* wrapped = dynamic_cast<OptimizerTuner*>(&tuner)) {
+    if (auto* garvey = dynamic_cast<GarveyOptimizer*>(&wrapped->optimizer())) {
+      garvey->set_dataset(dataset);
+    }
+  }
 }
 
 }  // namespace cstuner::search

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "core/cs_tuner.hpp"
 #include "ga/island_ga.hpp"
 #include "search/optimizer.hpp"
 
@@ -52,5 +53,38 @@ class OptimizerRegistry {
 /// garvey, artemis, random, spread) and the native ones (anneal, pso, de,
 /// surrogate).
 OptimizerRegistry& optimizer_registry();
+
+/// A registry optimizer behind the tuner::Tuner interface. tune() restores
+/// the optimizer's native state from the evaluator's loaded checkpoint when
+/// it can (otherwise the journal replays), then drives it with
+/// run_optimizer.
+class OptimizerTuner : public tuner::Tuner {
+ public:
+  explicit OptimizerTuner(std::unique_ptr<Optimizer> optimizer);
+
+  std::string name() const override { return optimizer_->name(); }
+  void tune(tuner::Evaluator& evaluator,
+            const tuner::StopCriteria& stop) override;
+
+  Optimizer& optimizer() { return *optimizer_; }
+
+ private:
+  std::unique_ptr<Optimizer> optimizer_;
+};
+
+/// The one method dispatch: "csTuner" is core::CsTuner with `options`; any
+/// other name is that registry optimizer (with "opentuner", the wire name
+/// of the paper's OpenTuner baseline, meaning "opentuner-ga") seeded from
+/// `options.seed` and shaped by `options.ga`. Throws UsageError listing
+/// every accepted name when `name` is unknown.
+std::unique_ptr<tuner::Tuner> make_tuner(const std::string& name,
+                                         const core::CsTunerOptions& options);
+
+/// Hands comparison-wide offline artifacts to a make_tuner() result, so
+/// methods compare on equal footing: csTuner takes the dataset and the
+/// candidate universe, garvey trains its forest on the dataset, and every
+/// other method ignores both.
+void share_artifacts(tuner::Tuner& tuner, const tuner::PerfDataset& dataset,
+                     const std::vector<space::Setting>& universe);
 
 }  // namespace cstuner::search

@@ -65,8 +65,7 @@ void TuneRequest::write_fields(JsonWriter& json) const {
       .field("deadline_s", deadline_s)
       .field("fault_rate", fault_rate)
       .field("universe", universe)
-      .field("samples", samples)
-      .field("enumerate", enumerate);
+      .field("samples", samples);
   json.key("warm").begin_array();
   for (const std::int64_t v : warm) json.value(v);
   json.end_array();
@@ -89,7 +88,6 @@ TuneRequest TuneRequest::from_json(const JsonValue& v) {
   }
   if (const JsonValue* m = v.find("universe")) req.universe = m->as_u64();
   if (const JsonValue* m = v.find("samples")) req.samples = m->as_u64();
-  if (const JsonValue* m = v.find("enumerate")) req.enumerate = m->as_bool();
   if (const JsonValue* m = v.find("warm")) {
     for (const JsonValue& item : m->as_array()) {
       req.warm.push_back(item.as_i64());

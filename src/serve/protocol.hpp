@@ -50,7 +50,6 @@ struct TuneRequest {
   double fault_rate = 0.0;
   std::uint64_t universe = 8000;
   std::uint64_t samples = 16;  ///< analyze sessions: settings analyzed
-  bool enumerate = true;
   /// Warm-start setting chosen at submit time (raw parameter values; empty
   /// = none). Pinned in the manifest so resume replays the same choice no
   /// matter how the warm store evolved since.

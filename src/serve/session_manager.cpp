@@ -9,14 +9,12 @@
 #include <limits>
 
 #include "analysis/analyzer.hpp"
-#include "baselines/artemis.hpp"
-#include "baselines/garvey.hpp"
-#include "baselines/opentuner.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/cs_tuner.hpp"
 #include "gpusim/simulator.hpp"
 #include "obs/obs.hpp"
+#include "search/registry.hpp"
 #include "stencil/stencils.hpp"
 #include "tuner/evaluator.hpp"
 
@@ -54,30 +52,10 @@ SessionResult result_from(const tuner::Evaluator& evaluator,
 }
 
 std::unique_ptr<tuner::Tuner> make_tuner(const TuneRequest& request) {
-  if (request.method == "csTuner") {
-    core::CsTunerOptions options;
-    options.universe_size = static_cast<std::size_t>(request.universe);
-    options.seed = request.seed;
-    options.enumerate_universe = request.enumerate;
-    return std::make_unique<core::CsTuner>(options);
-  }
-  if (request.method == "garvey") {
-    baselines::GarveyOptions options;
-    options.seed = request.seed;
-    return std::make_unique<baselines::Garvey>(options);
-  }
-  if (request.method == "opentuner") {
-    baselines::OpenTunerOptions options;
-    options.seed = request.seed;
-    return std::make_unique<baselines::OpenTuner>(options);
-  }
-  if (request.method == "artemis") {
-    baselines::ArtemisOptions options;
-    options.seed = request.seed;
-    return std::make_unique<baselines::Artemis>(options);
-  }
-  throw UsageError("unknown method: " + request.method +
-                   " (csTuner|garvey|opentuner|artemis)");
+  core::CsTunerOptions options;
+  options.universe_size = static_cast<std::size_t>(request.universe);
+  options.seed = request.seed;
+  return search::make_tuner(request.method, options);
 }
 
 /// Hostile-input validation, before anything is charged or persisted.

@@ -414,7 +414,7 @@ TEST(SpaceLint, SymbolicAndHeuristicAgreeOnValueLiveness) {
   }
 }
 
-// -- CsTuner enumerate mode -------------------------------------------------
+// -- CsTuner's enumerated universe ------------------------------------------
 
 TEST(CsTunerEnumerate, TuneIsBitIdenticalAcrossWorkerCounts) {
   std::string best_setting;
@@ -431,7 +431,6 @@ TEST(CsTunerEnumerate, TuneIsBitIdenticalAcrossWorkerCounts) {
     evaluator.set_thread_pool(&pool);
 
     core::CsTunerOptions options;
-    options.enumerate_universe = true;
     options.universe_size = 2000;
     options.seed = 7;
     core::CsTuner tuner(options);
@@ -471,7 +470,6 @@ TEST(CsTunerEnumerate, SmallSpaceIsEnumeratedInFull) {
   gpusim::Simulator sim(gpusim::a100());
   tuner::Evaluator evaluator(sim, space, {}, 7);
   core::CsTunerOptions options;
-  options.enumerate_universe = true;
   options.universe_size = 100000;
   options.dataset_size = 32;
   core::CsTuner tuner(options);

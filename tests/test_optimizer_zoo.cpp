@@ -2,7 +2,8 @@
 //   - every registered optimizer is bit-identical across 0/4/8 workers,
 //   - virtual budgets are respected at step boundaries,
 //   - the ported searchers reproduce their pre-refactor originals on fixed
-//     seeds (the regression pins),
+//     seeds, with and without injected faults (the regression pins; the
+//     originals in src/baselines are kept only as their reference),
 //   - resume is bit-identical: journal replay for the ports, native
 //     serialize_state/restore_state for the rest,
 //   - the tournament leaderboard JSON is byte-stable and ranks the whole
@@ -24,6 +25,7 @@
 #include "baselines/opentuner.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
+#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "gpusim/simulator.hpp"
 #include "search/meta_tuner.hpp"
@@ -81,9 +83,11 @@ class ZooFixture : public ::testing::Test {
   /// Drives a registry optimizer to the stop criteria; `workers` sizes the
   /// evaluator's batch pool (0 = inline).
   Outcome run_zoo(const std::string& name, std::uint64_t seed,
-                  const tuner::StopCriteria& stop, std::size_t workers = 0) {
+                  const tuner::StopCriteria& stop, std::size_t workers = 0,
+                  double fault_rate = 0.0) {
     ThreadPool pool(workers);
     tuner::Evaluator evaluator(sim_, space_, {}, seed, &pool);
+    arm_faults(evaluator, seed, fault_rate);
     const auto optimizer = optimizer_registry().make(name, {.seed = seed});
     run_optimizer(*optimizer, evaluator, stop);
     return outcome_of(evaluator);
@@ -91,11 +95,44 @@ class ZooFixture : public ::testing::Test {
 
   /// Drives a pre-refactor tuner::Tuner (the pin's ground truth).
   Outcome run_original(tuner::Tuner& tuner, std::uint64_t seed,
-                       const tuner::StopCriteria& stop) {
+                       const tuner::StopCriteria& stop,
+                       double fault_rate = 0.0) {
     tuner::Evaluator evaluator(sim_, space_, {}, seed);
+    arm_faults(evaluator, seed, fault_rate);
     tuner.tune(evaluator, stop);
     return outcome_of(evaluator);
   }
+
+  /// Arms the uniform fault storm the bench harness and serve use.
+  void arm_faults(tuner::Evaluator& evaluator, std::uint64_t seed,
+                  double fault_rate) const {
+    if (fault_rate > 0.0) {
+      evaluator.set_fault_injection(
+          gpusim::FaultConfig::uniform(fault_rate, seed), spec_.name);
+    }
+  }
+
+  /// Pins a port against its original with and without a fault storm.
+  /// `exact` also compares the winning setting (the serial ports).
+  void expect_pin(const std::string& name, tuner::Tuner& original,
+                  bool exact) {
+    const tuner::StopCriteria stop{.max_virtual_seconds = 8.0};
+    for (const double fault_rate : kPinFaultRates) {
+      SCOPED_TRACE("fault rate " + std::to_string(fault_rate));
+      const Outcome expected = run_original(original, 99, stop, fault_rate);
+      const Outcome ported = run_zoo(name, 99, stop, 0, fault_rate);
+      if (exact) {
+        EXPECT_EQ(ported, expected);
+        continue;
+      }
+      EXPECT_EQ(ported.best_bits, expected.best_bits);
+      EXPECT_EQ(ported.virtual_bits, expected.virtual_bits);
+      EXPECT_EQ(ported.evals, expected.evals);
+      EXPECT_EQ(ported.iterations, expected.iterations);
+    }
+  }
+
+  static constexpr double kPinFaultRates[] = {0.0, 0.2};
 
   /// Interrupts a run after `interrupt_iterations` journaled iterations,
   /// then resumes a fresh instance against the replayed journal — the
@@ -154,6 +191,27 @@ TEST(Registry, UnknownNameListsEveryAvailableOptimizer) {
   }
 }
 
+TEST(Registry, MakeTunerResolvesEveryMethodName) {
+  const core::CsTunerOptions options;
+  EXPECT_NE(dynamic_cast<core::CsTuner*>(make_tuner("csTuner", options).get()),
+            nullptr);
+  EXPECT_EQ(make_tuner("opentuner", options)->name(), "opentuner-ga");
+  for (const auto& name : optimizer_registry().names()) {
+    const auto tuner = make_tuner(name, options);
+    ASSERT_NE(dynamic_cast<OptimizerTuner*>(tuner.get()), nullptr) << name;
+    EXPECT_EQ(tuner->name(), name);
+  }
+  try {
+    make_tuner("nosuch", options);
+    FAIL() << "make_tuner() accepted an unknown method";
+  } catch (const UsageError& e) {
+    const std::string what = e.what();
+    for (const char* name : {"nosuch", "csTuner", "opentuner", "anneal"}) {
+      EXPECT_NE(what.find(name), std::string::npos) << name;
+    }
+  }
+}
+
 // --- Worker-count determinism --------------------------------------------
 
 TEST_F(ZooFixture, EveryOptimizerIsBitIdenticalAcrossWorkerCounts) {
@@ -204,17 +262,12 @@ TEST_F(ZooFixture, ZeroBudgetMeansZeroEvaluationsForNativeOptimizers) {
 // counts are bit-identical — but a fitness tie can resolve to a different
 // (equally fast) winner, so the pins do not compare the winning setting.
 // The serial ports replay the exact original loop and pin the setting too.
+// Every pin runs clean and under a 20% fault storm: serve and the bench
+// harness drive the ports with faults armed.
 
 TEST_F(ZooFixture, OpenTunerGaPortMatchesOriginal) {
   baselines::OpenTuner original({.seed = 99});
-  const Outcome expected = run_original(original, 99,
-                                        {.max_virtual_seconds = 8.0});
-  const Outcome ported = run_zoo("opentuner-ga", 99,
-                                 {.max_virtual_seconds = 8.0});
-  EXPECT_EQ(ported.best_bits, expected.best_bits);
-  EXPECT_EQ(ported.virtual_bits, expected.virtual_bits);
-  EXPECT_EQ(ported.evals, expected.evals);
-  EXPECT_EQ(ported.iterations, expected.iterations);
+  expect_pin("opentuner-ga", original, false);
 }
 
 TEST_F(ZooFixture, IslandGaPortMatchesFourIslandOriginal) {
@@ -222,45 +275,34 @@ TEST_F(ZooFixture, IslandGaPortMatchesFourIslandOriginal) {
   options.seed = 99;
   options.ga.sub_populations = 4;  // the zoo's island-ga archipelago
   baselines::OpenTuner original(options);
-  const Outcome expected = run_original(original, 99,
-                                        {.max_virtual_seconds = 8.0});
-  const Outcome ported = run_zoo("island-ga", 99,
-                                 {.max_virtual_seconds = 8.0});
-  EXPECT_EQ(ported.best_bits, expected.best_bits);
-  EXPECT_EQ(ported.virtual_bits, expected.virtual_bits);
-  EXPECT_EQ(ported.evals, expected.evals);
-  EXPECT_EQ(ported.iterations, expected.iterations);
+  expect_pin("island-ga", original, false);
 }
 
 TEST_F(ZooFixture, HillClimberPortMatchesOriginalExactly) {
   baselines::OpenTuner original(
       {.technique = baselines::OpenTunerTechnique::kHillClimber, .seed = 99});
-  EXPECT_EQ(run_zoo("hill", 99, {.max_virtual_seconds = 8.0}),
-            run_original(original, 99, {.max_virtual_seconds = 8.0}));
+  expect_pin("hill", original, true);
 }
 
 TEST_F(ZooFixture, DifferentialEvolutionPortMatchesOriginalExactly) {
   baselines::OpenTuner original(
       {.technique = baselines::OpenTunerTechnique::kDifferentialEvolution,
        .seed = 99});
-  EXPECT_EQ(run_zoo("opentuner-de", 99, {.max_virtual_seconds = 8.0}),
-            run_original(original, 99, {.max_virtual_seconds = 8.0}));
+  expect_pin("opentuner-de", original, true);
 }
 
 TEST_F(ZooFixture, GarveyPortMatchesOriginalExactly) {
   baselines::GarveyOptions options;
   options.seed = 99;
   baselines::Garvey original(options);
-  EXPECT_EQ(run_zoo("garvey", 99, {.max_virtual_seconds = 8.0}),
-            run_original(original, 99, {.max_virtual_seconds = 8.0}));
+  expect_pin("garvey", original, true);
 }
 
 TEST_F(ZooFixture, ArtemisPortMatchesOriginalExactly) {
   baselines::ArtemisOptions options;
   options.seed = 99;
   baselines::Artemis original(options);
-  EXPECT_EQ(run_zoo("artemis", 99, {.max_virtual_seconds = 8.0}),
-            run_original(original, 99, {.max_virtual_seconds = 8.0}));
+  expect_pin("artemis", original, true);
 }
 
 // --- Resume: journal replay (ports) ---------------------------------------
@@ -352,6 +394,31 @@ TEST_F(ZooFixture, DriverReportsExhaustionAndFinishes) {
   EXPECT_TRUE(r.exhausted);
   EXPECT_EQ(r.steps, 0u);
   EXPECT_TRUE(optimizer.finished);
+}
+
+/// An optimizer stuck on one setting: after the first step every batch is
+/// a cache hit, which charges no virtual time.
+class StuckOptimizer : public Optimizer {
+ public:
+  std::string name() const override { return "stuck"; }
+  void bind(tuner::Evaluator& evaluator) override {
+    Rng rng(3);
+    setting_ = evaluator.space().random_valid(rng);
+  }
+  std::vector<space::Setting> propose() override { return {setting_}; }
+  void observe(const std::vector<space::Setting>&,
+               const std::vector<tuner::EvalResult>&) override {}
+  space::Setting setting_;
+};
+
+TEST_F(ZooFixture, DriverEndsAStalledRunAsExhausted) {
+  tuner::Evaluator evaluator(sim_, space_, {}, 5);
+  StuckOptimizer optimizer;
+  const DriveResult r =
+      run_optimizer(optimizer, evaluator, {.max_virtual_seconds = 10.0});
+  EXPECT_TRUE(r.exhausted);
+  EXPECT_EQ(r.steps, kMaxStallSteps + 1);
+  EXPECT_EQ(evaluator.unique_evaluations(), 1u);
 }
 
 // --- Tournament -----------------------------------------------------------

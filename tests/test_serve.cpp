@@ -96,7 +96,6 @@ TEST(ServeProtocol, TuneRequestJsonRoundtrip) {
   request.fault_rate = 0.125;
   request.universe = 1234;
   request.samples = 9;
-  request.enumerate = false;
   request.warm = {2, 1, 1, 1, 4, 8};
 
   JsonWriter json;
@@ -116,7 +115,6 @@ TEST(ServeProtocol, TuneRequestJsonRoundtrip) {
   EXPECT_EQ(parsed.fault_rate, request.fault_rate);
   EXPECT_EQ(parsed.universe, request.universe);
   EXPECT_EQ(parsed.samples, request.samples);
-  EXPECT_EQ(parsed.enumerate, request.enumerate);
   EXPECT_EQ(parsed.warm, request.warm);
 }
 
@@ -480,6 +478,47 @@ TEST(SessionManagerTest, DrainParksRunningSessionAndRestartResumesBitIdentical) 
   const auto resumed = restarted.result(id, 90.0);
   ASSERT_TRUE(resumed.has_value());
   expect_bit_identical(*resumed, reference);
+}
+
+TEST(SessionManagerTest, AnyRegistryOptimizerRunsAsAMethod) {
+  // Methods resolve through search::make_tuner: a zoo optimizer runs like
+  // the paper's methods, and "opentuner" stays the wire name of the
+  // OpenTuner baseline.
+  for (const char* method : {"anneal", "opentuner"}) {
+    SCOPED_TRACE(method);
+    TuneRequest request = small_tune("j3d7pt", 41);
+    request.method = method;
+    const SessionResult result =
+        run_to_completion(fresh_dir(std::string("method_") + method), request);
+    EXPECT_EQ(result.state, SessionState::kDone);
+    EXPECT_GT(result.evaluations, 0u);
+    EXPECT_FALSE(result.best_setting.empty());
+  }
+}
+
+TEST(SessionManagerTest, ManifestWithRetiredEnumerateFieldIsReadopted) {
+  // Manifests written before the "enumerate" field was retired still parse
+  // (unknown members are ignored) and their sessions re-adopt and finish
+  // with the bits a fresh submit of the same request produces.
+  const TuneRequest request = small_tune("j3d7pt", 51);
+  const SessionResult reference =
+      run_to_completion(fresh_dir("retired_reference"), request);
+
+  const std::string state_dir = fresh_dir("retired_enumerate");
+  fs::create_directories(state_dir + "/sessions/1");
+  JsonWriter json;
+  json.begin_object().field("id", std::uint64_t{1});
+  request.write_fields(json);
+  json.end_object();
+  std::string manifest = json.str();
+  manifest.insert(manifest.size() - 1, R"(,"enumerate":false)");
+  write_file_atomic(state_dir + "/sessions/1/manifest.json", manifest + "\n");
+
+  SessionManager manager(quiet_options(state_dir));
+  EXPECT_EQ(manager.adopted(), 1u);
+  const auto result = manager.result(1, 90.0);
+  ASSERT_TRUE(result.has_value());
+  expect_bit_identical(*result, reference);
 }
 
 TEST(SessionManagerTest, AnalyzeSessionsReportLintCounts) {

@@ -292,5 +292,21 @@ TEST_F(ServeFuzzFixture, HostileRequestParametersAreRejectedTyped) {
   ::close(fd);
 }
 
+TEST_F(ServeFuzzFixture, UnknownMethodIsRejectedNamingTheRoster) {
+  const int fd = connect();
+  const std::string response = request(
+      fd,
+      R"({"op":"submit","kind":"tune","stencil":"j3d7pt",)"
+      R"("method":"nosuch","budget_s":1,"universe":400})");
+  EXPECT_NE(response.find("\"bad_request\""), std::string::npos) << response;
+  EXPECT_NE(response.find("nosuch"), std::string::npos) << response;
+  for (const char* name : {"csTuner", "opentuner", "garvey", "artemis",
+                           "anneal", "de"}) {
+    EXPECT_NE(response.find(name), std::string::npos) << name;
+  }
+  EXPECT_EQ(manager_->stats().accepted_total, 0u);
+  ::close(fd);
+}
+
 }  // namespace
 }  // namespace cstuner::serve

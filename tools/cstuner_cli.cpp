@@ -576,76 +576,30 @@ int cmd_tune(const Args& args) {
     evaluator.set_kill_plan(std::move(kill_plan), spec.name);
   }
 
-  const std::string method = args.get("method", "csTuner");
-  std::unique_ptr<tuner::Tuner> tuner;
-  core::CsTuner* cs_tuner = nullptr;  // for the enumerate-mode report
-  std::unique_ptr<search::Optimizer> optimizer;  // --optimizer zoo path
-  if (args.has("optimizer")) {
-    // The optimizer zoo (docs/optimizers.md): any registered optimizer by
-    // name, or "auto" to let the MetaTuner pick from stencil features.
-    std::string opt_name = args.get("optimizer", "auto");
-    if (opt_name == "auto") {
-      opt_name = search::MetaTuner().pick(spec);
-      std::cerr << "optimizer: auto -> " << opt_name << '\n';
-    }
-    search::OptimizerOptions options;
-    options.seed = seed;
-    options.ga.sub_populations = static_cast<int>(args.get_u64(
-        "islands", static_cast<std::uint64_t>(options.ga.sub_populations)));
-    // Unknown names throw UsageError listing every registered optimizer;
-    // main() routes that to stderr with exit code 1.
-    optimizer = search::optimizer_registry().make(opt_name, options);
-  } else if (method == "csTuner") {
-    core::CsTunerOptions options;
-    options.universe_size =
-        static_cast<std::size_t>(args.get_u64("universe", 8000));
-    options.seed = seed;
-    options.ga.sub_populations = static_cast<int>(args.get_u64(
-        "islands", static_cast<std::uint64_t>(options.ga.sub_populations)));
-    options.ga.min_islands = static_cast<int>(args.get_u64(
-        "min-islands", static_cast<std::uint64_t>(options.ga.min_islands)));
-    // Exact enumeration builds the candidate universe by default;
-    // --no-enumerate falls back to seed-salted universe sampling
-    // (--enumerate is still accepted for compatibility).
-    options.enumerate_universe = !args.has("no-enumerate");
-    auto cs = std::make_unique<core::CsTuner>(options);
-    cs_tuner = cs.get();
-    tuner = std::move(cs);
-  } else if (method == "garvey") {
-    baselines::GarveyOptions options;
-    options.seed = seed;
-    tuner = std::make_unique<baselines::Garvey>(options);
-  } else if (method == "opentuner") {
-    baselines::OpenTunerOptions options;
-    options.seed = seed;
-    tuner = std::make_unique<baselines::OpenTuner>(options);
-  } else if (method == "artemis") {
-    baselines::ArtemisOptions options;
-    options.seed = seed;
-    tuner = std::make_unique<baselines::Artemis>(options);
-  } else {
-    std::cerr << "unknown method: " << method
-              << " (csTuner|garvey|opentuner|artemis)\n";
-    return 1;
+  // One dispatch for --method and --optimizer (docs/optimizers.md):
+  // "csTuner" or any registered optimizer, or "auto" to let the MetaTuner
+  // pick from stencil features. Unknown names throw UsageError listing every
+  // accepted name; main() routes that to stderr with exit code 1.
+  std::string method = args.get("optimizer", args.get("method", "csTuner"));
+  if (method == "auto") {
+    method = search::MetaTuner().pick(spec);
+    std::cerr << "optimizer: auto -> " << method << '\n';
   }
+  core::CsTunerOptions options;
+  options.universe_size =
+      static_cast<std::size_t>(args.get_u64("universe", 8000));
+  options.seed = seed;
+  options.ga.sub_populations = static_cast<int>(args.get_u64(
+      "islands", static_cast<std::uint64_t>(options.ga.sub_populations)));
+  options.ga.min_islands = static_cast<int>(args.get_u64(
+      "min-islands", static_cast<std::uint64_t>(options.ga.min_islands)));
+  const std::unique_ptr<tuner::Tuner> tuner =
+      search::make_tuner(method, options);
+  const auto* cs_tuner = dynamic_cast<const core::CsTuner*>(tuner.get());
 
   tuner::StopCriteria stop;
   stop.max_virtual_seconds = args.get_double("budget", 60.0);
-  if (optimizer != nullptr) {
-    // Natively-checkpointable optimizers restore their state from the
-    // snapshot; the rest return false and resume by journal replay.
-    if (checkpoint.has_value() &&
-        checkpoint->loaded_optimizer_state().has_value() &&
-        optimizer->restore_state(*checkpoint->loaded_optimizer_state())) {
-      std::cerr << "optimizer state restored from snapshot ("
-                << optimizer->completed_steps() << " step(s))\n";
-    }
-    search::run_optimizer(*optimizer, evaluator, stop);
-  } else {
-    tuner->tune(evaluator, stop);
-  }
-  const std::string algo_name =
-      optimizer != nullptr ? optimizer->name() : tuner->name();
+  tuner->tune(evaluator, stop);
 
   if (checkpoint.has_value()) {
     // Final durability point: everything committed is journaled and the
@@ -674,8 +628,7 @@ int cmd_tune(const Args& args) {
     json.begin_object();
     json.field("stencil", spec.name);
     json.field("arch", sim.arch().name);
-    json.field("method", algo_name);
-    if (optimizer != nullptr) json.field("optimizer", optimizer->name());
+    json.field("method", tuner->name());
     json.field("best_time_ms", evaluator.best_time_ms());
     json.field("best_setting", evaluator.best_setting()->to_string());
     json.field("evaluations", evaluator.unique_evaluations());
@@ -701,7 +654,7 @@ int cmd_tune(const Args& args) {
     json.end_object();
     std::cout << json.str() << '\n';
   } else {
-    std::cout << "method:        " << algo_name << '\n'
+    std::cout << "method:        " << tuner->name() << '\n'
               << "best time:     " << evaluator.best_time_ms() << " ms\n"
               << "best setting:  " << evaluator.best_setting()->to_string()
               << '\n'
@@ -873,11 +826,10 @@ int usage() {
          "  analyze  <stencil> [--arch ...] [--set name=value ...]\n"
          "           [--samples N] [--seed N] [--no-lint] [--json]\n"
          "           [--space [--all] [--enumerate N]]   whole-space proofs\n"
-         "  tune     <stencil> [--method csTuner|garvey|opentuner|artemis]\n"
-         "           [--optimizer <name>|auto]   optimizer zoo (see\n"
+         "  tune     <stencil> [--method|--optimizer <name>|auto]\n"
+         "           csTuner (default), opentuner, or any optimizer (see\n"
          "           `tournament` for names; auto = MetaTuner selection)\n"
          "           [--budget seconds] [--arch ...] [--seed N] [--json]\n"
-         "           [--enumerate]   exact universe via lazy enumeration\n"
          "           [--precheck] [--fault-rate R] [--max-attempts N]\n"
          "           [--fault-budget seconds] [--checkpoint dir] [--resume]\n"
          "           [--islands N] [--min-islands N] [--kill-rank R@G ...]\n"
