@@ -59,6 +59,9 @@ struct DslError {
   const char* needle;
 };
 
+// Print the case by name so test IDs do not carry pointer bytes.
+void PrintTo(const DslError& e, std::ostream* os) { *os << e.name; }
+
 class DslErrorTest : public ::testing::TestWithParam<DslError> {};
 
 TEST_P(DslErrorTest, RejectsWithDiagnostic) {
