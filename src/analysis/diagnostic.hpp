@@ -24,8 +24,8 @@ struct Diagnostic {
   std::string location;  ///< "kernel:line N", "space:<param>", ...
   std::string message;
   /// How the finding was established: "proven" (backed by a symbolic
-  /// certificate, see docs/static-analysis.md), "heuristic" (randomized
-  /// probing, may miss or over-report), or empty when the distinction does
+  /// certificate, see docs/static-analysis.md), "heuristic" (a sampled
+  /// estimate, such as the space's valid fraction), or empty when the distinction does
   /// not apply. Rendered as a suffix in text and as a field in JSON.
   std::string verdict;
 

@@ -178,7 +178,6 @@ std::string classify_violation(const std::string& message) {
 
 bool PropagationResult::value_proven_dead(space::ParamId param,
                                           std::int64_t value) const {
-  if (!engine_applicable) return false;
   for (const DeadValue& dv : dead_values) {
     if (dv.param == param && dv.value == value) return true;
   }
@@ -194,15 +193,8 @@ PropagationResult propagate(const space::SearchSpace& space,
                             const PropagateOptions& options) {
   PropagationResult result;
   const auto& params = space.parameters();
-  for (const Parameter& p : params) {
-    if (p.values.size() > 64) {
-      result.inapplicable_reason =
-          p.name + " has " + std::to_string(p.values.size()) +
-          " values; the engine's domain masks hold at most 64";
-      return result;
-    }
-  }
-  result.engine_applicable = true;
+  // Domain masks hold at most 64 values (make_parameters guarantees it).
+  for (const Parameter& p : params) CSTUNER_CHECK(p.values.size() <= 64);
 
   std::vector<RegionState> states;
   for (EnumRegion& region : space_ns::build_regions(space)) {

@@ -1,7 +1,7 @@
 #pragma once
-// Symbolic constraint propagation over the search space (ISSUE 7,
-// docs/search-space.md, docs/static-analysis.md). Where lint_space probes
-// the space with randomized witnesses, this engine *proves* facts about it:
+// Symbolic constraint propagation over the search space
+// (docs/search-space.md, docs/static-analysis.md). This engine *proves*
+// facts about the space rather than probing it with random draws:
 //
 //   1. Case-split on the bool/enum/temporal parameters into the canonical
 //      regions of space/lazy_universe.hpp (rule 2 / rule 10 combinations
@@ -70,12 +70,6 @@ struct RegionSummary {
 };
 
 struct PropagationResult {
-  /// False when the space exceeds the engine's representation (a parameter
-  /// with more than 64 values); everything below is then empty and callers
-  /// must fall back to heuristics.
-  bool engine_applicable = false;
-  std::string inapplicable_reason;
-
   /// Canonical regions with masks pruned to exactly the live values.
   std::vector<space::EnumRegion> regions;
   std::vector<RegionSummary> region_summaries;
@@ -110,6 +104,8 @@ struct PropagationResult {
 /// ConstraintChecker::violation message; "unknown" when unrecognized.
 std::string classify_violation(const std::string& message);
 
+/// Requires every parameter to have at most 64 values (checked), which
+/// make_parameters guarantees for every SearchSpace.
 PropagationResult propagate(const space::SearchSpace& space,
                             const PropagateOptions& options = {});
 

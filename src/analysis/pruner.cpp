@@ -5,7 +5,6 @@ namespace cstuner::analysis {
 void StaticPruner::set_domains(
     std::shared_ptr<const PropagationResult> domains) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (domains != nullptr && !domains->engine_applicable) domains = nullptr;
   domains_ = std::move(domains);
 }
 

@@ -1,154 +1,10 @@
 #include "analysis/space_lint.hpp"
 
-#include <cmath>
 #include <sstream>
-
-#include "analysis/propagate.hpp"
 
 namespace cstuner::analysis {
 
-namespace {
-
 using space::ParamId;
-using space::Setting;
-
-/// One (parameter, value) pin applied on top of a candidate setting.
-struct Pin {
-  ParamId id;
-  std::int64_t value;
-};
-
-void apply_pins(Setting& s, const std::vector<Pin>& pins) {
-  for (const auto& pin : pins) s.set(pin.id, pin.value);
-}
-
-bool pins_hold(const Setting& s, const std::vector<Pin>& pins) {
-  for (const auto& pin : pins) {
-    if (s.get(pin.id) != pin.value) return false;
-  }
-  return true;
-}
-
-/// Deterministic witness templates: the all-ones setting (always valid on
-/// its own) and its streaming variants, which unlock the SD/SB/prefetching
-/// subspace the canonical encoding ties to useStreaming.
-std::vector<Setting> witness_templates() {
-  std::vector<Setting> out;
-  out.emplace_back();  // all ones
-  for (std::int64_t sd = 1; sd <= 3; ++sd) {
-    Setting s;
-    s.set(space::kUseStreaming, space::kOn);
-    s.set(space::kSD, sd);
-    s.set(space::kSB, 1);
-    out.push_back(s);
-  }
-  return out;
-}
-
-/// Systematic dimension-local sweep: enumerates the streaming configuration
-/// (useStreaming x SD x SB) and, for every grid dimension one of the pinned
-/// parameters belongs to, its TB/CM/BM support values — everything else at
-/// the all-ones baseline. Large unroll/merge factors are only admissible
-/// with the right support (UF <= CM*BM, or UF <= SB on the streaming
-/// dimension), which uniform random probing almost never assembles; this
-/// sweep finds such witnesses deterministically.
-bool sweep_witness(const space::SearchSpace& space,
-                   const std::vector<Pin>& pins) {
-  const auto& checker = space.checker();
-  std::vector<int> dims;
-  for (const auto& pin : pins) {
-    const int d = space::param_dimension(pin.id);
-    if (d >= 0) dims.push_back(d);
-  }
-
-  const space::ParamId tb[] = {space::kTBx, space::kTBy, space::kTBz};
-  const space::ParamId cm[] = {space::kCMx, space::kCMy, space::kCMz};
-  const space::ParamId bm[] = {space::kBMx, space::kBMy, space::kBMz};
-
-  // Per-dimension support combinations (including the trivial all-ones one).
-  std::vector<Setting> supports{Setting{}};
-  for (const int d : dims) {
-    std::vector<Setting> expanded;
-    for (const Setting& base : supports) {
-      for (const std::int64_t t : space.parameter(tb[d]).values) {
-        for (const std::int64_t c : space.parameter(cm[d]).values) {
-          for (const std::int64_t b : space.parameter(bm[d]).values) {
-            Setting s = base;
-            s.set(tb[d], t);
-            s.set(cm[d], c);
-            s.set(bm[d], b);
-            expanded.push_back(s);
-          }
-        }
-      }
-    }
-    supports = std::move(expanded);
-  }
-
-  // Retiming/shared/constant change the register and shared-memory
-  // footprint, so a borderline merge factor may only be feasible with the
-  // right flag combination; enumerate all eight.
-  const space::ParamId flags[] = {space::kUseRetiming, space::kUseShared,
-                                  space::kUseConstant};
-  for (int mask = 0; mask < 8; ++mask) {
-    for (const Setting& support : supports) {
-      Setting flagged = support;
-      for (int f = 0; f < 3; ++f) {
-        flagged.set(flags[f], (mask >> f) & 1 ? space::kOn : space::kOff);
-      }
-      // Non-streaming configuration.
-      {
-        Setting s = flagged;
-        apply_pins(s, pins);
-        if (checker.is_valid(s)) return true;
-      }
-      // Streaming configurations.
-      for (const std::int64_t sd : space.parameter(space::kSD).values) {
-        for (const std::int64_t sb : space.parameter(space::kSB).values) {
-          Setting s = flagged;
-          s.set(space::kUseStreaming, space::kOn);
-          s.set(space::kSD, sd);
-          s.set(space::kSB, sb);
-          // Rule 4: the streaming dimension carries no block/merge factors.
-          const int d = static_cast<int>(sd) - 1;
-          s.set(tb[d], 1);
-          s.set(cm[d], 1);
-          s.set(bm[d], 1);
-          apply_pins(s, pins);
-          if (checker.is_valid(s)) return true;
-        }
-      }
-    }
-  }
-  return false;
-}
-
-/// True when some valid setting satisfies all pins: first the deterministic
-/// templates (with and without repair), then the systematic dimension-local
-/// sweep, then randomized search for anything the sweep's all-ones baseline
-/// cannot reach.
-bool find_witness(const space::SearchSpace& space, const std::vector<Pin>& pins,
-                  std::size_t attempts, Rng& rng) {
-  const auto& checker = space.checker();
-  for (const Setting& base : witness_templates()) {
-    Setting s = base;
-    apply_pins(s, pins);
-    if (checker.is_valid(s)) return true;
-    const Setting repaired = checker.repaired(s);
-    if (pins_hold(repaired, pins) && checker.is_valid(repaired)) return true;
-  }
-  if (sweep_witness(space, pins)) return true;
-  for (std::size_t i = 0; i < attempts; ++i) {
-    Setting s = space.random_setting(rng);
-    apply_pins(s, pins);
-    if (checker.is_valid(s)) return true;
-    const Setting repaired = checker.repaired(s);
-    if (pins_hold(repaired, pins) && checker.is_valid(repaired)) return true;
-  }
-  return false;
-}
-
-}  // namespace
 
 bool SpaceLintResult::value_is_live(ParamId id, std::int64_t value,
                                     const space::SearchSpace& space) const {
@@ -160,17 +16,14 @@ bool SpaceLintResult::value_is_live(ParamId id, std::int64_t value,
   return false;
 }
 
-namespace {
-
-/// Proven path: liveness, pairs, and the exact count come from the symbolic
-/// propagation engine; every verdict carries an unsat certificate.
-void lint_symbolic(const space::SearchSpace& space,
-                   const PropagationResult& propagation,
-                   SpaceLintResult& result) {
+SpaceLintResult lint_space(const space::SearchSpace& space,
+                           const PropagationResult& propagation,
+                           const SpaceLintOptions& options) {
+  SpaceLintResult result;
   const auto& params = space.parameters();
-  result.proven = true;
   result.valid_count = propagation.valid_count;
 
+  // --- Per-parameter value liveness. ---------------------------------------
   result.live.resize(params.size());
   for (std::size_t p = 0; p < params.size(); ++p) {
     result.live[p].assign(params[p].values.size(), 0);
@@ -197,6 +50,7 @@ void lint_symbolic(const space::SearchSpace& space,
                         "proven");
   }
 
+  // --- Jointly infeasible bool/enum pairs. ---------------------------------
   for (const DeadPair& pair : propagation.dead_pairs) {
     ++result.dead_pairs;
     const auto& pa = params[static_cast<std::size_t>(pair.a)];
@@ -210,133 +64,18 @@ void lint_symbolic(const space::SearchSpace& space,
                        "space:" + pa.name + "x" + pb.name, msg.str(),
                        "proven");
   }
-  // Every candidate pair is decided from the region verdicts.
-  for (std::size_t a = 0; a < params.size(); ++a) {
-    if (params[a].kind == space::ParamKind::kPow2) continue;
-    for (std::size_t b = a + 1; b < params.size(); ++b) {
-      if (params[b].kind == space::ParamKind::kPow2) continue;
-      result.probed_pairs += params[a].values.size() *
-                             params[b].values.size();
-    }
-  }
 
-  std::ostringstream msg;
-  msg << result.valid_count << " valid settings (exact) out of 10^"
-      << space.log10_cartesian_size() << " raw combinations";
-  result.report.note("space.valid-count", "space", msg.str(), "proven");
-}
-
-/// Heuristic path: randomized witness probing, capped pair checks.
-void lint_heuristic(const space::SearchSpace& space,
-                    const SpaceLintOptions& options, Rng& rng,
-                    SpaceLintResult& result) {
-  const auto& params = space.parameters();
-
-  // --- Per-parameter value liveness. ---------------------------------------
-  result.live.resize(params.size());
-  for (std::size_t p = 0; p < params.size(); ++p) {
-    const auto& param = params[p];
-    result.live[p].assign(param.values.size(), 0);
-    std::size_t dead_here = 0;
-    for (std::size_t i = 0; i < param.values.size(); ++i) {
-      const std::int64_t value = param.values[i];
-      const bool live = find_witness(
-          space, {{param.id, value}}, options.probe_attempts, rng);
-      result.live[p][i] = live ? 1 : 0;
-      if (!live) {
-        ++dead_here;
-        ++result.dead_values;
-        std::ostringstream msg;
-        msg << param.name << '=' << value
-            << " appears in no valid setting (statically prunable)";
-        result.report.warn("space.dead-value", "space:" + param.name,
-                           msg.str(), "heuristic");
-      }
-    }
-    if (dead_here == param.values.size()) {
-      result.report.error("space.dead-parameter", "space:" + param.name,
-                          "every admissible value of " + param.name +
-                              " is dead: the space is empty",
-                          "heuristic");
-    }
-  }
-
-  // --- Pairwise subspace liveness over the small (bool/enum) parameters. ---
-  // Deterministic (parameter, parameter, value, value) order; probes past
-  // the cap are counted as skipped instead of silently run.
-  if (options.check_pairs) {
-    for (std::size_t a = 0; a < params.size(); ++a) {
-      if (params[a].kind == space::ParamKind::kPow2) continue;
-      for (std::size_t b = a + 1; b < params.size(); ++b) {
-        if (params[b].kind == space::ParamKind::kPow2) continue;
-        for (std::size_t i = 0; i < params[a].values.size(); ++i) {
-          for (std::size_t j = 0; j < params[b].values.size(); ++j) {
-            if (result.live[a][i] == 0 || result.live[b][j] == 0) {
-              continue;  // implied by a dead value; already reported
-            }
-            if (result.probed_pairs >= options.max_pair_probes) {
-              ++result.skipped_pairs;
-              continue;
-            }
-            ++result.probed_pairs;
-            const std::vector<Pin> pins = {
-                {params[a].id, params[a].values[i]},
-                {params[b].id, params[b].values[j]}};
-            if (!find_witness(space, pins, options.probe_attempts, rng)) {
-              ++result.dead_pairs;
-              std::ostringstream msg;
-              msg << params[a].name << '=' << params[a].values[i] << " with "
-                  << params[b].name << '=' << params[b].values[j]
-                  << " is jointly infeasible (statically prunable subspace)";
-              result.report.note("space.dead-subspace",
-                                 "space:" + params[a].name + "x" +
-                                     params[b].name,
-                                 msg.str(), "heuristic");
-            }
-          }
-        }
-      }
-    }
-    if (result.skipped_pairs > 0) {
-      std::ostringstream msg;
-      msg << result.skipped_pairs << " of "
-          << result.probed_pairs + result.skipped_pairs
-          << " pair subspaces skipped by the probe cap ("
-          << options.max_pair_probes << ')';
-      result.report.note("space.pairs-skipped", "space", msg.str(),
-                         "heuristic");
-    }
-  }
-}
-
-}  // namespace
-
-SpaceLintResult lint_space(const space::SearchSpace& space,
-                           const SpaceLintOptions& options) {
-  SpaceLintResult result;
-  Rng rng(options.seed);
-
-  bool symbolic_done = false;
-  if (options.use_symbolic) {
-    PropagateOptions popts;
-    popts.compute_counts = true;
-    const PropagationResult propagation = propagate(space, popts);
-    if (propagation.engine_applicable) {
-      lint_symbolic(space, propagation, result);
-      symbolic_done = true;
-    } else {
-      result.report.note("space.engine-inapplicable", "space",
-                         "symbolic engine unavailable: " +
-                             propagation.inapplicable_reason +
-                             "; falling back to randomized probing");
-    }
-  }
-  if (!symbolic_done) lint_heuristic(space, options, rng, result);
+  // --- Exact valid count. --------------------------------------------------
+  std::ostringstream count_msg;
+  count_msg << result.valid_count << " valid settings (exact) out of 10^"
+            << space.log10_cartesian_size() << " raw combinations";
+  result.report.note("space.valid-count", "space", count_msg.str(), "proven");
 
   // --- Valid fraction of the unconstrained cartesian space. ----------------
   // Always sampled: it estimates rejection-sampling efficiency, which the
   // symbolic count does not replace (and cross-checks it cheaply).
   if (options.validity_samples > 0) {
+    Rng rng(options.seed);
     std::size_t valid = 0;
     for (std::size_t i = 0; i < options.validity_samples; ++i) {
       if (space.is_valid(space.random_setting(rng))) ++valid;

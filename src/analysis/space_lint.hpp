@@ -1,42 +1,28 @@
 #pragma once
-// Pass 4 of the static analyzer (ISSUE 2): search-space lint. Enumerates
-// per-parameter value liveness under the ConstraintChecker — a value is
-// *dead* when no valid setting assigns it — and checks small cross-parameter
-// subspaces (bool/enum pairs) for joint infeasibility. Auto-tuning spaces
-// are notoriously full of such holes (Schoonhoven et al.); surfacing them as
-// structured diagnostics both documents the space and feeds the tuner-side
-// static pruning (analysis/pruner.hpp).
+// Pass 4 of the static analyzer: search-space lint. Turns the symbolic
+// propagation engine's verdicts (analysis/propagate.hpp) into structured
+// diagnostics: per-parameter value liveness — a value is *dead* when no
+// valid setting assigns it — jointly infeasible bool/enum pairs, and the
+// exact valid count. Auto-tuning spaces are notoriously full of such holes
+// (Schoonhoven et al.); surfacing them both documents the space and feeds
+// the tuner-side static pruning (analysis/pruner.hpp).
 //
-// Two verdict tiers (ISSUE 7, docs/static-analysis.md): when the symbolic
-// propagation engine applies (analysis/propagate.hpp), deadness and the
-// exact valid count are *proven* and tagged as such; otherwise the pass
-// falls back to randomized witness probing and tags its findings
-// "heuristic". The sampled valid fraction is always heuristic.
+// Every finding is proven by the engine and tagged "proven"; only the
+// sampled valid fraction is an estimate and is tagged "heuristic"
+// (docs/static-analysis.md).
 
 #include <cstdint>
 #include <vector>
 
 #include "analysis/diagnostic.hpp"
+#include "analysis/propagate.hpp"
 #include "space/search_space.hpp"
 
 namespace cstuner::analysis {
 
 struct SpaceLintOptions {
-  /// Randomized witness-search attempts per (parameter, value) after the
-  /// deterministic templates fail (heuristic path only).
-  std::size_t probe_attempts = 200;
   /// Random draws for the valid-fraction estimate (0 disables it).
   std::size_t validity_samples = 2000;
-  /// Probe joint liveness of bool/enum parameter pairs.
-  bool check_pairs = true;
-  /// Upper bound on heuristic pair probes; pairs past the cap are skipped
-  /// in deterministic (parameter, parameter, value, value) order and
-  /// reported in SpaceLintResult::skipped_pairs. The symbolic path decides
-  /// every pair from region verdicts and never skips.
-  std::size_t max_pair_probes = 4096;
-  /// Use the symbolic engine when it applies; false forces the randomized
-  /// heuristics (mainly for tests and comparison).
-  bool use_symbolic = true;
   std::uint64_t seed = 1;
 };
 
@@ -46,14 +32,7 @@ struct SpaceLintResult {
   std::vector<std::vector<char>> live;
   std::size_t dead_values = 0;
   std::size_t dead_pairs = 0;
-  /// Pair subspaces actually decided / skipped by the probe cap.
-  std::size_t probed_pairs = 0;
-  std::size_t skipped_pairs = 0;
-  /// True when liveness and counts come from the symbolic engine: every
-  /// dead-value/dead-subspace diagnostic then carries an unsat certificate
-  /// and the "proven" verdict.
-  bool proven = false;
-  /// Exact number of valid settings (proven path only; 0 otherwise).
+  /// Exact number of valid settings.
   std::uint64_t valid_count = 0;
   /// Fraction of independently-uniform draws that satisfy all constraints.
   double sampled_valid_fraction = 0.0;
@@ -62,7 +41,10 @@ struct SpaceLintResult {
                      const space::SearchSpace& space) const;
 };
 
+/// Lints `space` from its propagation result, which must come from
+/// propagate(space) with counts computed.
 SpaceLintResult lint_space(const space::SearchSpace& space,
+                           const PropagationResult& propagation,
                            const SpaceLintOptions& options = {});
 
 }  // namespace cstuner::analysis

@@ -37,11 +37,12 @@ constexpr T clamp(T v, T lo, T hi) {
   return v < lo ? lo : (v > hi ? hi : v);
 }
 
-/// Powers of two in [1, max_value] inclusive.
+/// Powers of two in [1, max_value] inclusive: at most 63 values, since
+/// doubling stops before it could pass max_value (or overflow int64).
 inline std::vector<std::int64_t> pow2_range(std::int64_t max_value) {
   CSTUNER_CHECK(max_value >= 1);
-  std::vector<std::int64_t> out;
-  for (std::int64_t v = 1; v <= max_value; v *= 2) out.push_back(v);
+  std::vector<std::int64_t> out{1};
+  while (out.back() <= max_value / 2) out.push_back(out.back() * 2);
   return out;
 }
 

@@ -610,15 +610,10 @@ bool BlockCursor::next(Setting& out) {
 
 LazyUniverse::LazyUniverse(const SearchSpace& space,
                            LazyUniverseOptions options, ThreadPool* pool)
-    : LazyUniverse(space, build_regions(space), options, pool) {}
-
-LazyUniverse::LazyUniverse(const SearchSpace& space,
-                           std::vector<EnumRegion> regions,
-                           LazyUniverseOptions options, ThreadPool* pool)
     : space_(space),
       options_(options),
       pool_(pool),
-      regions_(std::move(regions)) {
+      regions_(build_regions(space)) {
   CSTUNER_CHECK(options_.chunk > 0);
   build_blocks();
 }

@@ -136,11 +136,6 @@ class LazyUniverse {
   explicit LazyUniverse(const SearchSpace& space,
                         LazyUniverseOptions options = {},
                         ThreadPool* pool = nullptr);
-  /// Same, over externally refined regions (analysis/propagate.hpp). Masks
-  /// may only have proven-dead values removed — pruning never changes the
-  /// enumerated set or its order, only the work to produce it.
-  LazyUniverse(const SearchSpace& space, std::vector<EnumRegion> regions,
-               LazyUniverseOptions options = {}, ThreadPool* pool = nullptr);
 
   LazyUniverse(const LazyUniverse&) = delete;
   LazyUniverse& operator=(const LazyUniverse&) = delete;

@@ -107,35 +107,27 @@ Setting SearchSpace::random_valid(Rng& rng, std::size_t max_tries) const {
               std::to_string(max_tries) + " attempts");
 }
 
-std::vector<Setting> SearchSpace::sample_universe(
-    Rng& rng, std::size_t count, std::size_t max_tries_factor) const {
-  // Constraint-propagating enumeration replaces the historical rejection
-  // sampler: the exact valid count is known up front, spaces no larger than
-  // `count` are taken whole, and larger ones contribute a count-proportioned
-  // spread sample whose phase is salted from the caller's RNG — still
-  // seed-dependent, but every pick lands on a distinct valid setting instead
-  // of rejecting (and occasionally under-filling) its way there. Exactly one
-  // RNG draw is consumed per call on this path, so downstream draws stay
-  // aligned across spaces of any size.
+std::vector<Setting> SearchSpace::sample_universe(Rng& rng,
+                                                  std::size_t count) const {
+  // Constraint-propagating enumeration: the exact valid count is known up
+  // front, spaces no larger than `count` are taken whole, and larger ones
+  // contribute a count-proportioned spread sample whose phase is salted from
+  // the caller's RNG — seed-dependent, yet every pick lands on a distinct
+  // valid setting. Exactly one RNG draw is consumed per call, so downstream
+  // draws stay aligned across spaces of any size.
   const std::uint64_t salt = rng.next() | 1;  // nonzero: 0 means "no phase"
-  try {
-    LazyUniverse lazy(*this);
-    if (lazy.valid_count() <= count) return lazy.take_all();
-    return lazy.spread_sample(count, salt);
-  } catch (const Error&) {
-    // A space the symbolic enumerator cannot decompose falls back to the
-    // constructive sampler below.
-  }
-  return sample_constructive(rng, count, max_tries_factor);
+  LazyUniverse lazy(*this);
+  if (lazy.valid_count() <= count) return lazy.take_all();
+  return lazy.spread_sample(count, salt);
 }
 
-std::vector<Setting> SearchSpace::sample_constructive(
-    Rng& rng, std::size_t count, std::size_t max_tries_factor) const {
+std::vector<Setting> SearchSpace::sample_constructive(Rng& rng,
+                                                      std::size_t count) const {
   std::vector<Setting> out;
   // Content-comparing dedup: a raw hash-set of 64-bit hashes would silently
   // drop a distinct setting on collision.
   SettingDedup seen;
-  const std::size_t max_tries = count * max_tries_factor;
+  const std::size_t max_tries = count * 64;
   for (std::size_t attempt = 0; attempt < max_tries && out.size() < count;
        ++attempt) {
     Setting s = random_setting(rng);

@@ -1,7 +1,8 @@
 #pragma once
 // The constrained search space for one (stencil, resource-limit) pair:
-// parameter list, constraint checking, uniform valid-setting sampling, and
-// candidate-universe construction (DESIGN.md §5).
+// parameter list, constraint checking, random setting draws, and
+// candidate-universe construction by exact enumeration
+// (space/lazy_universe.hpp, DESIGN.md §5).
 
 #include <memory>
 #include <vector>
@@ -46,19 +47,16 @@ class SearchSpace {
   /// returned whole, a larger one as a count-proportioned spread sample
   /// whose phase is salted from `rng` — seed-dependent but rejection-free
   /// and bit-identical across worker counts. Consumes exactly one RNG draw.
-  /// Spaces the enumerator cannot decompose fall back to rejection
-  /// sampling, bounded by `max_tries_factor * count` attempts.
-  std::vector<Setting> sample_universe(Rng& rng, std::size_t count,
-                                       std::size_t max_tries_factor = 64) const;
+  std::vector<Setting> sample_universe(Rng& rng, std::size_t count) const;
 
   /// Up to `count` distinct valid settings drawn with the constructive
-  /// sampler (random_setting + rejection). Unlike sample_universe this is
+  /// sampler (random_setting + rejection, at most 64 draws per requested
+  /// setting). Unlike sample_universe this is
   /// per-parameter balanced rather than proportional to region mass, which
   /// is what model training wants: a proportional sample at small `count`
   /// collapses onto the few largest enumeration blocks and leaves flags and
   /// values too unbalanced to fit (tuner::collect_dataset).
-  std::vector<Setting> sample_constructive(
-      Rng& rng, std::size_t count, std::size_t max_tries_factor = 64) const;
+  std::vector<Setting> sample_constructive(Rng& rng, std::size_t count) const;
 
   /// log10 of the unconstrained cartesian product size (Table I scale).
   double log10_cartesian_size() const;

@@ -198,7 +198,7 @@ TEST(MutationResource, WrongLaunchBoundsIsCaught) {
 TEST(SpaceLint, SeedSpaceHasNoDeadValuesOnLightStencil) {
   const auto spec = stencil::make_stencil("j3d7pt");
   space::SearchSpace space(spec);
-  const SpaceLintResult result = lint_space(space);
+  const SpaceLintResult result = lint_space(space, propagate(space));
   EXPECT_EQ(result.dead_values, 0u) << result.report.to_string();
   EXPECT_TRUE(result.report.clean());
   // The canonical streaming encoding makes (streaming=off, SD>1) jointly
@@ -214,7 +214,7 @@ TEST(SpaceLint, RegisterBoundStencilHasDeadMergeFactors) {
   // infeasible under every support configuration (verified by sweep).
   const auto spec = stencil::make_stencil("hypterm");
   space::SearchSpace space(spec);
-  const SpaceLintResult result = lint_space(space);
+  const SpaceLintResult result = lint_space(space, propagate(space));
   EXPECT_GT(result.dead_values, 0u);
   EXPECT_TRUE(result.report.has_rule("space.dead-value"))
       << result.report.to_string();

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <sstream>
@@ -170,6 +171,12 @@ TEST(MathUtil, Pow2Range) {
   EXPECT_EQ(pow2_range(8), (std::vector<std::int64_t>{1, 2, 4, 8}));
   EXPECT_EQ(pow2_range(100),
             (std::vector<std::int64_t>{1, 2, 4, 8, 16, 32, 64}));
+  // Doubling stops before it would pass the max or overflow int64.
+  constexpr std::int64_t kTop = std::int64_t{1} << 62;
+  EXPECT_EQ(pow2_range(kTop).size(), 63u);
+  EXPECT_EQ(pow2_range(kTop).back(), kTop);
+  EXPECT_EQ(pow2_range(kTop - 1).back(), kTop / 2);
+  EXPECT_EQ(pow2_range(std::numeric_limits<std::int64_t>::max()).back(), kTop);
 }
 
 TEST(MathUtil, Clamp) {

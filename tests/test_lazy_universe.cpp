@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "analysis/propagate.hpp"
@@ -216,7 +217,6 @@ TEST(Propagate, ExactCountMatchesExhaustive) {
   SearchSpace space(reduced_spec("j3d7pt"), reduced_limits());
   const auto expected = brute_force(space);
   const auto result = analysis::propagate(space);
-  ASSERT_TRUE(result.engine_applicable);
   EXPECT_EQ(result.valid_count, expected.size());
 
   std::uint64_t by_region = 0;
@@ -231,7 +231,6 @@ TEST(Propagate, DeadnessVerdictsMatchExhaustiveLiveness) {
   SearchSpace space(reduced_spec("hypterm"), reduced_limits());
   const auto settings = brute_force(space);
   const auto result = analysis::propagate(space);
-  ASSERT_TRUE(result.engine_applicable);
 
   // Exhaustive per-(parameter, value) liveness.
   std::array<std::set<std::int64_t>, kParamCount> seen;
@@ -270,24 +269,34 @@ TEST(Propagate, DeadnessVerdictsMatchExhaustiveLiveness) {
 TEST(Propagate, FullSpaceProofsAndCountAgreeWithEnumerator) {
   SearchSpace space(stencil::make_stencil("hypterm"));
   const auto result = analysis::propagate(space);
-  ASSERT_TRUE(result.engine_applicable);
 
   LazyUniverse lazy(space);
   EXPECT_EQ(result.valid_count, lazy.valid_count());
 
-  // The known register-spill hole: merging 64 points per thread dies, the
-  // minimal merge factor lives (mirrors the space-lint expectations).
-  EXPECT_TRUE(result.value_proven_dead(kCMx, 64));
-  EXPECT_FALSE(result.value_proven_dead(kCMx, 1));
-  bool found = false;
-  for (const auto& dead : result.dead_values) {
-    if (dead.param == kCMx && dead.value == 64) {
-      found = true;
-      EXPECT_EQ(dead.rule, "register-spill");
-      EXPECT_FALSE(dead.certificate.empty());
+  // The known register-spill hole: merging 64 points per thread dies in
+  // every dimension, and that is the space's entire proven-dead value set
+  // (the space-analyze baseline lists the same six). Checking every value
+  // keeps full-space liveness covered; the reduced-space test above checks
+  // the verdicts against exhaustive enumeration.
+  const std::set<std::pair<ParamId, std::int64_t>> expected_dead = {
+      {kCMx, 64}, {kCMy, 64}, {kCMz, 64}, {kBMx, 64}, {kBMy, 64}, {kBMz, 64}};
+  const auto& params = space.parameters();
+  for (std::size_t p = 0; p < kParamCount; ++p) {
+    const auto id = static_cast<ParamId>(p);
+    for (std::size_t i = 0; i < params[p].values.size(); ++i) {
+      const std::int64_t v = params[p].values[i];
+      const bool dead = expected_dead.count({id, v}) > 0;
+      EXPECT_EQ(result.value_proven_dead(id, v), dead)
+          << param_name(id) << "=" << v;
+      EXPECT_EQ(((result.live_masks[p] >> i) & 1U) == 0, dead)
+          << param_name(id) << "=" << v;
     }
   }
-  EXPECT_TRUE(found);
+  ASSERT_EQ(result.dead_values.size(), expected_dead.size());
+  for (const auto& dead : result.dead_values) {
+    EXPECT_EQ(dead.rule, "register-spill") << param_name(dead.param);
+    EXPECT_FALSE(dead.certificate.empty()) << param_name(dead.param);
+  }
   EXPECT_GT(result.rule_prunes.count("register-spill"), 0u);
 }
 
@@ -343,10 +352,8 @@ TEST(StaticPruner, DomainsRejectProvenDeadSettingsBeforeFullCheck) {
 
 TEST(SpaceLint, SymbolicPathProvesCountsAndTagsVerdicts) {
   SearchSpace space(stencil::make_stencil("j3d7pt"));
-  const auto lint = analysis::lint_space(space);
-  EXPECT_TRUE(lint.proven);
+  const auto lint = analysis::lint_space(space, analysis::propagate(space));
   EXPECT_GT(lint.valid_count, 0u);
-  EXPECT_EQ(lint.skipped_pairs, 0u);
   ASSERT_TRUE(lint.report.has_rule("space.valid-count"));
 
   bool saw_proven = false;
@@ -376,42 +383,6 @@ TEST(SpaceLint, SymbolicPathProvesCountsAndTagsVerdicts) {
     }
   }
   EXPECT_TRUE(json_verdict);
-}
-
-TEST(SpaceLint, HeuristicFallbackTagsFindingsAndCapsPairProbes) {
-  SearchSpace space(stencil::make_stencil("j3d7pt"));
-  analysis::SpaceLintOptions options;
-  options.use_symbolic = false;
-  options.max_pair_probes = 3;
-  const auto lint = analysis::lint_space(space, options);
-  EXPECT_FALSE(lint.proven);
-  EXPECT_EQ(lint.valid_count, 0u);
-  EXPECT_EQ(lint.probed_pairs, 3u);
-  EXPECT_GT(lint.skipped_pairs, 0u);
-  EXPECT_TRUE(lint.report.has_rule("space.pairs-skipped"));
-  for (const auto& d : lint.report.diagnostics()) {
-    EXPECT_NE(d.verdict, "proven") << d.rule;
-  }
-}
-
-TEST(SpaceLint, SymbolicAndHeuristicAgreeOnValueLiveness) {
-  SearchSpace space(stencil::make_stencil("hypterm"));
-  const auto proven = analysis::lint_space(space);
-  analysis::SpaceLintOptions options;
-  options.use_symbolic = false;
-  const auto heuristic = analysis::lint_space(space, options);
-  ASSERT_TRUE(proven.proven);
-  ASSERT_FALSE(heuristic.proven);
-  EXPECT_EQ(proven.dead_values, heuristic.dead_values);
-  const auto& params = space.parameters();
-  for (std::size_t p = 0; p < kParamCount; ++p) {
-    const auto id = static_cast<ParamId>(p);
-    for (const auto v : params[p].values) {
-      EXPECT_EQ(proven.value_is_live(id, v, space),
-                heuristic.value_is_live(id, v, space))
-          << param_name(id) << "=" << v;
-    }
-  }
 }
 
 // -- CsTuner's enumerated universe ------------------------------------------

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "common/error.hpp"
@@ -43,6 +44,31 @@ TEST(Parameters, MergeUnrollCapApplied) {
   EXPECT_EQ(params[kUFx].values.back(), 8);
   EXPECT_EQ(params[kBMy].values.back(), 16);
   EXPECT_EQ(params[kCMz].values.back(), 16);
+}
+
+TEST(Parameters, ExtremeLimitsAndGridsKeepAtMost64Values) {
+  // The symbolic engine's domain masks hold 64 values per parameter; every
+  // limit and grid extent must stay inside that, including the int64/int
+  // maxima where doubling a power of two would overflow.
+  constexpr std::int64_t kLimits[] = {1,
+                                      std::numeric_limits<std::int64_t>::max()};
+  constexpr int kGrids[] = {1, std::numeric_limits<int>::max()};
+  for (const std::int64_t limit : kLimits) {
+    for (const int extent : kGrids) {
+      auto spec = test_spec();
+      spec.grid = {extent, extent, extent};
+      SpaceLimits limits;
+      limits.max_unroll = limit;
+      limits.max_merge = limit;
+      limits.max_tb_xy = limit;
+      limits.max_tb_z = limit;
+      limits.max_temporal = limit;
+      for (const auto& p : make_parameters(spec, limits)) {
+        EXPECT_GE(p.values.size(), 1u) << p.name;
+        EXPECT_LE(p.values.size(), 64u) << p.name;
+      }
+    }
+  }
 }
 
 TEST(Parameters, ValueIndexLookup) {

@@ -285,7 +285,7 @@ int cmd_analyze_space(const Args& args) {
 
     analysis::SpaceLintOptions lint_options;
     lint_options.seed = args.get_u64("seed", 1);
-    const auto lint = analysis::lint_space(space, lint_options);
+    const auto lint = analysis::lint_space(space, prop, lint_options);
     errors += lint.report.error_count();
     warnings += lint.report.count(analysis::Severity::kWarning);
 
@@ -294,7 +294,7 @@ int cmd_analyze_space(const Args& args) {
     // the full constraint checker.
     std::uint64_t enumerated = 0;
     std::uint64_t enumerate_mismatch = 0;
-    if (enumerate_limit > 0 && prop.engine_applicable) {
+    if (enumerate_limit > 0) {
       space::LazyUniverse lazy(space);
       const auto settings =
           lazy.take_all(static_cast<std::size_t>(enumerate_limit));
@@ -313,8 +313,6 @@ int cmd_analyze_space(const Args& args) {
     if (json_out) {
       json.begin_object();
       json.field("stencil", spec.name);
-      json.field("engine_applicable", prop.engine_applicable ? 1 : 0);
-      json.field("proven", lint.proven ? 1 : 0);
       json.field("log10_raw", space.log10_cartesian_size());
       json.field("valid_count", prop.valid_count);
       json.field("regions", prop.regions.size());
@@ -335,44 +333,39 @@ int cmd_analyze_space(const Args& args) {
       json.end_object();
     } else {
       std::cout << "== " << spec.name << " ==\n";
-      if (!prop.engine_applicable) {
-        std::cout << "symbolic engine inapplicable: "
-                  << prop.inapplicable_reason << '\n';
-      } else {
-        std::cout << "valid settings: " << prop.valid_count << " (exact) of 10^"
-                  << static_cast<int>(space.log10_cartesian_size())
-                  << " raw combinations\n";
-        std::cout << "regions: " << prop.regions.size() << " ("
-                  << empty_regions << " proven empty)\n";
-        if (!prop.dead_values.empty()) {
-          std::cout << "proven-dead values:\n";
-          for (const auto& dead : prop.dead_values) {
-            std::cout << "  " << space::param_name(dead.param) << "="
-                      << dead.value << "  [rule " << dead.rule << "] "
-                      << dead.certificate << '\n';
-          }
+      std::cout << "valid settings: " << prop.valid_count << " (exact) of 10^"
+                << static_cast<int>(space.log10_cartesian_size())
+                << " raw combinations\n";
+      std::cout << "regions: " << prop.regions.size() << " ("
+                << empty_regions << " proven empty)\n";
+      if (!prop.dead_values.empty()) {
+        std::cout << "proven-dead values:\n";
+        for (const auto& dead : prop.dead_values) {
+          std::cout << "  " << space::param_name(dead.param) << "="
+                    << dead.value << "  [rule " << dead.rule << "] "
+                    << dead.certificate << '\n';
         }
-        if (!prop.dead_pairs.empty()) {
-          std::cout << "proven-dead pairs:\n";
-          for (const auto& dead : prop.dead_pairs) {
-            std::cout << "  (" << space::param_name(dead.a) << "="
-                      << dead.value_a << ", " << space::param_name(dead.b)
-                      << "=" << dead.value_b << ") " << dead.certificate
-                      << '\n';
-          }
+      }
+      if (!prop.dead_pairs.empty()) {
+        std::cout << "proven-dead pairs:\n";
+        for (const auto& dead : prop.dead_pairs) {
+          std::cout << "  (" << space::param_name(dead.a) << "="
+                    << dead.value_a << ", " << space::param_name(dead.b)
+                    << "=" << dead.value_b << ") " << dead.certificate
+                    << '\n';
         }
-        if (!prop.rule_prunes.empty()) {
-          TextTable table({"rule", "domain values pruned"});
-          for (const auto& [rule, count] : prop.rule_prunes) {
-            table.add_row({rule, std::to_string(count)});
-          }
-          table.print(std::cout);
+      }
+      if (!prop.rule_prunes.empty()) {
+        TextTable table({"rule", "domain values pruned"});
+        for (const auto& [rule, count] : prop.rule_prunes) {
+          table.add_row({rule, std::to_string(count)});
         }
-        if (enumerate_limit > 0) {
-          std::cout << "enumerated " << enumerated
-                    << " setting(s) in deterministic order; "
-                    << enumerate_mismatch << " failed re-verification\n";
-        }
+        table.print(std::cout);
+      }
+      if (enumerate_limit > 0) {
+        std::cout << "enumerated " << enumerated
+                  << " setting(s) in deterministic order; "
+                  << enumerate_mismatch << " failed re-verification\n";
       }
       std::cout << "-- space lint\n" << lint.report.to_string();
     }
@@ -432,7 +425,8 @@ int cmd_analyze(const Args& args) {
   if (run_lint) {
     analysis::SpaceLintOptions lint_options;
     lint_options.seed = args.get_u64("seed", 1);
-    lint = analysis::lint_space(space, lint_options);
+    lint = analysis::lint_space(space, analysis::propagate(space),
+                                lint_options);
     errors += lint.report.error_count();
     warnings += lint.report.count(analysis::Severity::kWarning);
   }
