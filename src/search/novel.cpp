@@ -1,12 +1,10 @@
 #include "search/novel.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <limits>
 
 #include "baselines/subspace.hpp"
-#include "common/error.hpp"
 
 namespace cstuner::search {
 
@@ -57,72 +55,6 @@ std::vector<double> setting_indices(const space::SearchSpace& space,
     v[d] = static_cast<double>(p.value_index(s.get(static_cast<ParamId>(d))));
   }
   return v;
-}
-
-// --- Serialization helpers: doubles travel as IEEE-754 bit patterns, like
-// the checkpoint journal, so state round-trips bit-exactly.
-
-void write_bits(JsonWriter& json, const char* key,
-                const std::vector<double>& values) {
-  json.key(key).begin_array();
-  for (double v : values) json.value(std::bit_cast<std::uint64_t>(v));
-  json.end_array();
-}
-
-std::vector<double> parse_bits(const JsonValue& value) {
-  std::vector<double> out;
-  for (const auto& v : value.as_array()) {
-    out.push_back(std::bit_cast<double>(v.as_u64()));
-  }
-  return out;
-}
-
-void write_vecs(JsonWriter& json, const char* key,
-                const std::vector<std::vector<double>>& vecs) {
-  json.key(key).begin_array();
-  for (const auto& vec : vecs) {
-    json.begin_array();
-    for (double v : vec) json.value(std::bit_cast<std::uint64_t>(v));
-    json.end_array();
-  }
-  json.end_array();
-}
-
-std::vector<std::vector<double>> parse_vecs(const JsonValue& value) {
-  std::vector<std::vector<double>> out;
-  for (const auto& vec : value.as_array()) out.push_back(parse_bits(vec));
-  return out;
-}
-
-void write_settings(JsonWriter& json, const char* key,
-                    const std::vector<Setting>& settings) {
-  json.key(key).begin_array();
-  for (const auto& s : settings) {
-    json.begin_array();
-    for (std::int64_t v : s.raw()) json.value(v);
-    json.end_array();
-  }
-  json.end_array();
-}
-
-Setting parse_setting(const JsonValue& value) {
-  const auto& vals = value.as_array();
-  CSTUNER_CHECK(vals.size() == kParamCount);
-  Setting s;
-  for (std::size_t i = 0; i < kParamCount; ++i) {
-    s.set(static_cast<ParamId>(i), vals[i].as_i64());
-  }
-  return s;
-}
-
-std::vector<Setting> parse_settings(const JsonValue& value) {
-  std::vector<Setting> out;
-  for (const auto& s : value.as_array()) out.push_back(parse_setting(s));
-  return out;
-}
-
-std::size_t parse_steps(const JsonValue& state) {
-  return static_cast<std::size_t>(state.at("steps").as_u64());
 }
 
 /// Standard normal CDF / PDF, for the expected-improvement score.
@@ -195,23 +127,6 @@ void AnnealOptimizer::observe(const std::vector<Setting>& batch,
       current_times_[i] = t_new;
     }
   }
-}
-
-void AnnealOptimizer::serialize_state(JsonWriter& json) const {
-  json.begin_object();
-  json.field("optimizer", name());
-  json.field("steps", static_cast<std::uint64_t>(completed_steps_));
-  write_settings(json, "walkers", current_);
-  write_bits(json, "times_bits", current_times_);
-  json.end_object();
-}
-
-bool AnnealOptimizer::restore_state(const JsonValue& state) {
-  current_ = parse_settings(state.at("walkers"));
-  current_times_ = parse_bits(state.at("times_bits"));
-  CSTUNER_CHECK(current_.size() == current_times_.size());
-  completed_steps_ = parse_steps(state);
-  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -294,30 +209,6 @@ void PsoOptimizer::observe(const std::vector<Setting>& batch,
   }
 }
 
-void PsoOptimizer::serialize_state(JsonWriter& json) const {
-  json.begin_object();
-  json.field("optimizer", name());
-  json.field("steps", static_cast<std::uint64_t>(completed_steps_));
-  write_vecs(json, "positions", positions_);
-  write_vecs(json, "velocities", velocities_);
-  write_vecs(json, "pbest_pos", pbest_pos_);
-  write_bits(json, "pbest_times_bits", pbest_times_);
-  write_bits(json, "gbest_pos", gbest_pos_);
-  json.field("gbest_time_bits", std::bit_cast<std::uint64_t>(gbest_time_));
-  json.end_object();
-}
-
-bool PsoOptimizer::restore_state(const JsonValue& state) {
-  positions_ = parse_vecs(state.at("positions"));
-  velocities_ = parse_vecs(state.at("velocities"));
-  pbest_pos_ = parse_vecs(state.at("pbest_pos"));
-  pbest_times_ = parse_bits(state.at("pbest_times_bits"));
-  gbest_pos_ = parse_bits(state.at("gbest_pos"));
-  gbest_time_ = std::bit_cast<double>(state.at("gbest_time_bits").as_u64());
-  completed_steps_ = parse_steps(state);
-  return true;
-}
-
 // ---------------------------------------------------------------------------
 // NativeDeOptimizer
 
@@ -385,22 +276,6 @@ void NativeDeOptimizer::observe(const std::vector<Setting>& batch,
       times_[i] = t;
     }
   }
-}
-
-void NativeDeOptimizer::serialize_state(JsonWriter& json) const {
-  json.begin_object();
-  json.field("optimizer", name());
-  json.field("steps", static_cast<std::uint64_t>(completed_steps_));
-  write_vecs(json, "positions", positions_);
-  write_bits(json, "times_bits", times_);
-  json.end_object();
-}
-
-bool NativeDeOptimizer::restore_state(const JsonValue& state) {
-  positions_ = parse_vecs(state.at("positions"));
-  times_ = parse_bits(state.at("times_bits"));
-  completed_steps_ = parse_steps(state);
-  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -524,36 +399,6 @@ void SurrogateOptimizer::observe(const std::vector<Setting>& batch,
       history_.emplace_back(batch[i], t);
     }
   }
-}
-
-void SurrogateOptimizer::serialize_state(JsonWriter& json) const {
-  json.begin_object();
-  json.field("optimizer", name());
-  json.field("steps", static_cast<std::uint64_t>(completed_steps_));
-  json.key("history").begin_array();
-  for (const auto& [setting, time_ms] : history_) {
-    json.begin_object();
-    json.key("values").begin_array();
-    for (std::int64_t v : setting.raw()) json.value(v);
-    json.end_array();
-    json.field("time_bits", std::bit_cast<std::uint64_t>(time_ms));
-    json.end_object();
-  }
-  json.end_array();
-  json.end_object();
-}
-
-bool SurrogateOptimizer::restore_state(const JsonValue& state) {
-  history_.clear();
-  seen_.clear();
-  for (const auto& entry : state.at("history").as_array()) {
-    const Setting setting = parse_setting(entry.at("values"));
-    const double t = std::bit_cast<double>(entry.at("time_bits").as_u64());
-    seen_.insert(setting.hash());
-    history_.emplace_back(setting, t);
-  }
-  completed_steps_ = parse_steps(state);
-  return true;
 }
 
 }  // namespace cstuner::search

@@ -1,12 +1,11 @@
 #pragma once
-// The natively-checkpointable optimizers of the zoo: simulated annealing,
-// particle swarm, differential evolution (a budget-driven variant, unlike
-// the stale-bounded OpenTuner port) and a surrogate-guided searcher built
-// on the src/ml random forest. All four draw every step from an RNG derived
-// from (seed, step), so their whole mutable state is POD — populations plus
-// the step counter — and serialize_state()/restore_state() round-trip it
-// exactly: a restored instance proposes the bit-identical continuation
-// (tests/test_optimizer_zoo.cpp, SnapshotResume*).
+// The native optimizers of the zoo: simulated annealing, particle swarm,
+// differential evolution (a budget-driven variant, unlike the stale-bounded
+// OpenTuner port) and a surrogate-guided searcher built on the src/ml random
+// forest. All four draw every step from an RNG derived from (seed, step),
+// so their proposals are a deterministic function of the seed and the
+// results observed so far — which is all journal replay needs to resume
+// them bit-identically (tests/test_optimizer_zoo.cpp, *ResumeTest).
 
 #include <cstdint>
 #include <unordered_set>
@@ -31,8 +30,6 @@ class AnnealOptimizer : public Optimizer {
   std::vector<space::Setting> propose() override;
   void observe(const std::vector<space::Setting>& batch,
                const std::vector<tuner::EvalResult>& results) override;
-  void serialize_state(JsonWriter& json) const override;
-  bool restore_state(const JsonValue& state) override;
 
   static constexpr std::size_t kWalkers = 8;
 
@@ -55,8 +52,6 @@ class PsoOptimizer : public Optimizer {
   std::vector<space::Setting> propose() override;
   void observe(const std::vector<space::Setting>& batch,
                const std::vector<tuner::EvalResult>& results) override;
-  void serialize_state(JsonWriter& json) const override;
-  bool restore_state(const JsonValue& state) override;
 
   static constexpr std::size_t kParticles = 16;
 
@@ -84,8 +79,6 @@ class NativeDeOptimizer : public Optimizer {
   std::vector<space::Setting> propose() override;
   void observe(const std::vector<space::Setting>& batch,
                const std::vector<tuner::EvalResult>& results) override;
-  void serialize_state(JsonWriter& json) const override;
-  bool restore_state(const JsonValue& state) override;
 
   static constexpr std::size_t kPopulation = 24;
 
@@ -112,8 +105,6 @@ class SurrogateOptimizer : public Optimizer {
   std::vector<space::Setting> propose() override;
   void observe(const std::vector<space::Setting>& batch,
                const std::vector<tuner::EvalResult>& results) override;
-  void serialize_state(JsonWriter& json) const override;
-  bool restore_state(const JsonValue& state) override;
 
   static constexpr std::size_t kInitBatch = 32;
   static constexpr std::size_t kBatch = 16;
@@ -125,8 +116,7 @@ class SurrogateOptimizer : public Optimizer {
  private:
   std::uint64_t seed_;
   const space::SearchSpace* space_ = nullptr;
-  /// Finite measurements only; the dedup keys derive purely from this, so
-  /// restore_state rebuilds an identical view.
+  /// Finite measurements only; `seen_` holds their dedup keys.
   std::vector<std::pair<space::Setting, double>> history_;
   std::unordered_set<std::uint64_t> seen_;
 };

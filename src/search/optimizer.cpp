@@ -11,11 +11,6 @@ void Optimizer::serialize_state(JsonWriter& json) const {
   json.end_object();
 }
 
-bool Optimizer::restore_state(const JsonValue& state) {
-  (void)state;
-  return false;
-}
-
 DriveResult run_optimizer(Optimizer& optimizer, tuner::Evaluator& evaluator,
                           const tuner::StopCriteria& stop) {
   CSTUNER_TRACE_PHASE("tune.optimizer");

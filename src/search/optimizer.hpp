@@ -28,12 +28,12 @@
 //     initial population and its first generation, or before a
 //     hill-climber's restart evaluation.
 //
-// Checkpointing: serialize_state()/restore_state() round-trip the
-// optimizer's own step state (doubles as IEEE-754 bit patterns, like the
-// journal). The natively-checkpointable optimizers (anneal, pso, de,
-// surrogate, random, spread) restore mid-run; the ported searchers keep the
-// journal-replay contract instead — a fresh instance re-driven against a
-// journal-loaded evaluator replays bit-identically (docs/fault-tolerance.md).
+// Resume is journal replay, for every optimizer: a fresh instance re-driven
+// against a journal-loaded evaluator re-proposes the interrupted run's
+// batches, has their journaled results served back, and continues past the
+// kill point bit-identically (docs/fault-tolerance.md). The one requirement
+// is that an optimizer's proposals are a deterministic function of its seed
+// and of the results it has observed.
 
 #include <cstdint>
 #include <memory>
@@ -82,22 +82,15 @@ class Optimizer {
   /// between steps). Ports emit trailing iteration marks here.
   virtual void finish(tuner::Evaluator& evaluator) { (void)evaluator; }
 
-  /// Serializes the optimizer's step state as one JSON object. The default
-  /// emits only the identity and completed-step count — enough for the
-  /// journal-replay resume contract, which re-drives a fresh instance.
-  virtual void serialize_state(JsonWriter& json) const;
-
-  /// Restores from a serialize_state() object. Returns true when the
-  /// optimizer can continue mid-run from that state; false means the
-  /// caller should resume by journal replay (fresh instance, journal-loaded
-  /// evaluator) instead. The default restores nothing and returns false.
-  virtual bool restore_state(const JsonValue& state);
+  /// Writes the snapshot record {optimizer, steps}: which optimizer wrote
+  /// the checkpoint and how many steps it had completed.
+  void serialize_state(JsonWriter& json) const;
 
   /// Completed propose/observe rounds, maintained by the driver.
   std::size_t completed_steps() const { return completed_steps_; }
   void note_step() { ++completed_steps_; }
 
- protected:
+ private:
   std::size_t completed_steps_ = 0;
 };
 
@@ -121,8 +114,8 @@ inline constexpr std::size_t kMaxStallSteps = 20000;
 /// (at a boundary the optimizer allows), the optimizer exhausts its
 /// candidates, or kMaxStallSteps steps in a row add no unique evaluation
 /// (reported as exhausted). When a Checkpoint is attached to the evaluator,
-/// the optimizer's serialized state is pushed into it at every iteration
-/// boundary, just before the mark flushes the journal.
+/// the optimizer's {optimizer, steps} record is pushed into it at every
+/// iteration boundary, just before the mark flushes the journal.
 DriveResult run_optimizer(Optimizer& optimizer, tuner::Evaluator& evaluator,
                           const tuner::StopCriteria& stop);
 

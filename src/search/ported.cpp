@@ -657,7 +657,7 @@ void RandomOptimizer::bind(tuner::Evaluator& evaluator) {
 
 std::vector<Setting> RandomOptimizer::propose() {
   // Every step draws from its own (seed, step)-derived stream, so the only
-  // mutable state is the step counter and mid-run restore is exact.
+  // mutable state is the step counter.
   Rng rng(hash_combine(hash_combine(seed_, 0x52414E44u), completed_steps()));
   std::vector<Setting> batch;
   batch.reserve(kBatch);
@@ -673,11 +673,6 @@ void RandomOptimizer::observe(const std::vector<Setting>& batch,
   (void)results;
 }
 
-bool RandomOptimizer::restore_state(const JsonValue& state) {
-  completed_steps_ = static_cast<std::size_t>(state.at("steps").as_u64());
-  return true;
-}
-
 // ---------------------------------------------------------------------------
 // SpreadOptimizer
 
@@ -687,17 +682,13 @@ SpreadOptimizer::SpreadOptimizer(std::uint64_t seed, std::size_t sample_size)
 }
 
 void SpreadOptimizer::bind(tuner::Evaluator& evaluator) {
-  if (!sampled_) {
-    // The sample is a pure function of (space, seed) — the exact-count
-    // proportioned spread is bit-identical for any worker count — so a
-    // restored instance rebuilds the identical sequence here.
-    space::LazyUniverse universe(evaluator.space(), {},
-                                 evaluator.thread_pool());
-    const auto k = static_cast<std::size_t>(std::min<std::uint64_t>(
-        sample_size_, universe.valid_count()));
-    sample_ = universe.spread_sample(k, seed_);
-    sampled_ = true;
-  }
+  // The sample is a pure function of (space, seed) — the exact-count
+  // proportioned spread is bit-identical for any worker count — so a
+  // resumed instance rebuilds the identical sequence here.
+  space::LazyUniverse universe(evaluator.space(), {}, evaluator.thread_pool());
+  const auto k = static_cast<std::size_t>(
+      std::min<std::uint64_t>(sample_size_, universe.valid_count()));
+  sample_ = universe.spread_sample(k, seed_);
 }
 
 std::vector<Setting> SpreadOptimizer::propose() {
@@ -712,11 +703,6 @@ void SpreadOptimizer::observe(const std::vector<Setting>& batch,
                               const std::vector<tuner::EvalResult>& results) {
   (void)batch;
   (void)results;
-}
-
-bool SpreadOptimizer::restore_state(const JsonValue& state) {
-  completed_steps_ = static_cast<std::size_t>(state.at("steps").as_u64());
-  return true;
 }
 
 }  // namespace cstuner::search

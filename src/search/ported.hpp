@@ -6,10 +6,10 @@
 // same best setting, virtual time and unique-evaluation count as the
 // original tuner (pinned by tests/test_optimizer_zoo.cpp).
 //
-// All ports resume by journal replay: a fresh instance driven against a
-// journal-loaded evaluator replays its deterministic control flow, with the
-// journaled measurements served back (docs/fault-tolerance.md). They do not
-// implement restore_state.
+// Like every optimizer, the ports resume by journal replay: a fresh instance
+// driven against a journal-loaded evaluator replays its deterministic
+// control flow, with the journaled measurements served back
+// (docs/fault-tolerance.md).
 
 #include <cstdint>
 #include <optional>
@@ -228,7 +228,7 @@ class ArtemisOptimizer : public Optimizer {
 
 /// Pure random-valid sampling, one fixed-size batch per step. Each step
 /// draws from an RNG derived from (seed, step), so the whole state is the
-/// step counter — restore_state resumes mid-run exactly.
+/// step counter.
 class RandomOptimizer : public Optimizer {
  public:
   explicit RandomOptimizer(std::uint64_t seed);
@@ -238,7 +238,6 @@ class RandomOptimizer : public Optimizer {
   std::vector<space::Setting> propose() override;
   void observe(const std::vector<space::Setting>& batch,
                const std::vector<tuner::EvalResult>& results) override;
-  bool restore_state(const JsonValue& state) override;
 
   static constexpr std::size_t kBatch = 32;
 
@@ -250,7 +249,7 @@ class RandomOptimizer : public Optimizer {
 /// Deterministic spread sample of the valid universe, consumed through a
 /// space::LazyUniverse cursor in fixed-size batches; exhausts when the
 /// sample is drained. State is the step counter (the sample itself is a
-/// pure function of the space and seed), so restore_state resumes exactly.
+/// pure function of the space and seed).
 class SpreadOptimizer : public Optimizer {
  public:
   explicit SpreadOptimizer(std::uint64_t seed,
@@ -261,7 +260,6 @@ class SpreadOptimizer : public Optimizer {
   std::vector<space::Setting> propose() override;
   void observe(const std::vector<space::Setting>& batch,
                const std::vector<tuner::EvalResult>& results) override;
-  bool restore_state(const JsonValue& state) override;
 
   static constexpr std::size_t kBatch = 32;
   static constexpr std::size_t kDefaultSample = 4096;
@@ -270,7 +268,6 @@ class SpreadOptimizer : public Optimizer {
   std::uint64_t seed_;
   std::size_t sample_size_;
   std::vector<space::Setting> sample_;
-  bool sampled_ = false;
 };
 
 }  // namespace cstuner::search

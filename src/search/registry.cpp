@@ -113,11 +113,15 @@ OptimizerTuner::OptimizerTuner(std::unique_ptr<Optimizer> optimizer)
 
 void OptimizerTuner::tune(tuner::Evaluator& evaluator,
                           const tuner::StopCriteria& stop) {
-  // Natively-checkpointable optimizers continue from the snapshot; the
-  // rest decline and resume by journal replay.
+  // Resume is journal replay: the fresh optimizer re-proposes the journaled
+  // batches and is served their results. Another optimizer's journal would
+  // replay into a different run, so a snapshot naming one is refused.
   if (const tuner::Checkpoint* cp = evaluator.checkpoint();
-      cp != nullptr && cp->loaded_optimizer_state().has_value()) {
-    optimizer_->restore_state(*cp->loaded_optimizer_state());
+      cp != nullptr && !cp->loaded_optimizer_name().empty() &&
+      cp->loaded_optimizer_name() != name()) {
+    throw UsageError("checkpoint " + cp->directory() + " was written by '" +
+                     cp->loaded_optimizer_name() +
+                     "'; cannot resume it with '" + name() + "'");
   }
   run_optimizer(*optimizer_, evaluator, stop);
 }

@@ -54,10 +54,10 @@ class OptimizerRegistry {
 /// surrogate).
 OptimizerRegistry& optimizer_registry();
 
-/// A registry optimizer behind the tuner::Tuner interface. tune() restores
-/// the optimizer's native state from the evaluator's loaded checkpoint when
-/// it can (otherwise the journal replays), then drives it with
-/// run_optimizer.
+/// A registry optimizer behind the tuner::Tuner interface. tune() drives it
+/// with run_optimizer; against a journal-loaded evaluator that replays the
+/// interrupted run and continues it. Throws UsageError when the loaded
+/// checkpoint was written by a different optimizer.
 class OptimizerTuner : public tuner::Tuner {
  public:
   explicit OptimizerTuner(std::unique_ptr<Optimizer> optimizer);

@@ -148,7 +148,7 @@ std::size_t Checkpoint::load() {
   known_events_.clear();
   loaded_dataset_.reset();
   loaded_stats_.reset();
-  loaded_optimizer_state_.reset();
+  loaded_optimizer_name_.clear();
 
   // Snapshot first. The rename publication makes it complete-or-absent on
   // POSIX semantics; a torn or corrupt snapshot.json (crash mid-write on a
@@ -208,7 +208,7 @@ bool Checkpoint::try_load_snapshot(const std::string& path) {
   // caller falls back to the previous snapshot.
   std::optional<PerfDataset> dataset;
   std::optional<FaultStats> stats;
-  std::optional<JsonValue> optimizer_state;
+  std::string optimizer_name;
   try {
     JsonValue snap = json_parse(vfs_->read_file(path));
     if (const JsonValue* ds = snap.find("dataset"); ds && !ds->is_null()) {
@@ -219,15 +219,17 @@ bool Checkpoint::try_load_snapshot(const std::string& path) {
         stats = FaultStats::from_json(*st);
       }
     }
-    if (const JsonValue* op = snap.find("optimizer"); op && !op->is_null()) {
-      optimizer_state = *op;
+    if (const JsonValue* op = snap.find("optimizer"); op && op->is_object()) {
+      if (const JsonValue* name = op->find("optimizer")) {
+        optimizer_name = name->as_string();
+      }
     }
   } catch (const Error&) {
     return false;  // torn or corrupt: caller tries the previous snapshot
   }
   loaded_dataset_ = std::move(dataset);
   loaded_stats_ = std::move(stats);
-  loaded_optimizer_state_ = std::move(optimizer_state);
+  loaded_optimizer_name_ = std::move(optimizer_name);
   if (loaded_dataset_.has_value()) {
     // Re-register so the resumed run's snapshots keep embedding it even
     // if the caller never calls set_dataset_json again.

@@ -13,7 +13,8 @@
 //
 //   snapshot.json   A periodic whole-state snapshot: RNG/seed identity,
 //                   the performance dataset (bit-exact doubles), the
-//                   quarantine list, and failure statistics. Written
+//                   quarantine list, failure statistics, and the name of
+//                   the optimizer that wrote it. Written
 //                   atomically (write temp + rename), so a reader always
 //                   sees either the old or the new snapshot, never a torn
 //                   one.
@@ -148,18 +149,18 @@ class Checkpoint {
     return loaded_dataset_;
   }
 
-  /// Registers the optimizer's serialized step state to embed in snapshots.
-  /// The search driver (search/optimizer.cpp) refreshes this at every
-  /// iteration boundary, just before the mark flushes the journal, so a
-  /// published snapshot always carries a state at least as old as its last
-  /// journaled evaluation — a restored optimizer replays forward from
-  /// there, never backward past measurements it has already consumed.
+  /// Registers the optimizer's {optimizer, steps} record to embed in
+  /// snapshots. The search driver (search/optimizer.cpp) refreshes it at
+  /// every iteration boundary, just before the mark flushes the journal.
+  /// Resume never restores optimizer state from it — every optimizer
+  /// resumes by journal replay — it only records who wrote the checkpoint.
   void set_optimizer_state_json(std::string state_json);
-  /// Optimizer state recovered from a loaded snapshot, if any. Ports that
-  /// resume by journal replay ignore it; the natively-checkpointable
-  /// optimizers restore their populations/walkers from it.
-  const std::optional<JsonValue>& loaded_optimizer_state() const {
-    return loaded_optimizer_state_;
+  /// Name of the optimizer that wrote the loaded snapshot; empty when there
+  /// is none (no snapshot, or one written by a non-optimizer tuner).
+  /// Snapshots from older builds that also carry native optimizer state
+  /// load the same: only the name is read.
+  const std::string& loaded_optimizer_name() const {
+    return loaded_optimizer_name_;
   }
 
   /// Atomically writes snapshot.json (write temp, fsync, rename). The
@@ -185,8 +186,8 @@ class Checkpoint {
   std::string journal_path() const;
   std::string snapshot_path() const;
   std::string snapshot_prev_path() const;
-  /// Parses one snapshot file into loaded_dataset_/loaded_stats_; returns
-  /// false (mutating nothing) when the file is absent, torn or corrupt.
+  /// Parses one snapshot file into the loaded_* fields; returns false
+  /// (mutating nothing) when the file is absent, torn or corrupt.
   bool try_load_snapshot(const std::string& path);
   /// Writes pending journal lines with writer_mutex_ held; fsyncs when
   /// `sync` is set.
@@ -207,7 +208,7 @@ class Checkpoint {
   std::set<std::tuple<int, int, std::uint64_t, int>> known_events_;
   std::optional<PerfDataset> loaded_dataset_;
   std::optional<FaultStats> loaded_stats_;
-  std::optional<JsonValue> loaded_optimizer_state_;
+  std::string loaded_optimizer_name_;
 
   // Journal write half: buffered lines + the open append stream. The mutex
   // serializes appends/flushes from concurrent island threads.

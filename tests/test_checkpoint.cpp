@@ -213,6 +213,30 @@ TEST(Checkpoint, SnapshotIsAtomicAndLoadable) {
   EXPECT_EQ(cp.loaded_stats()->quarantined_settings, 1u);
 }
 
+TEST(Checkpoint, SnapshotNamesItsOptimizerAndIgnoresLegacyState) {
+  const std::string dir = fresh_dir("optimizer_name");
+  {
+    Checkpoint cp(dir);
+    cp.write_snapshot("{}");  // no optimizer record: a csTuner run
+  }
+  Checkpoint unnamed(dir);
+  unnamed.load();
+  EXPECT_EQ(unnamed.loaded_optimizer_name(), "");
+
+  {
+    // Older builds also stored the optimizer's walkers/populations; only
+    // the name is read back.
+    Checkpoint cp(dir);
+    cp.set_optimizer_state_json(
+        R"({"optimizer":"anneal","steps":3,"walkers":[[1,2]],)"
+        R"("times_bits":[4607182418800017408]})");
+    cp.write_snapshot("{}");
+  }
+  Checkpoint named(dir);
+  named.load();
+  EXPECT_EQ(named.loaded_optimizer_name(), "anneal");
+}
+
 TEST(Checkpoint, TornSnapshotRecoversPreviousGoodSnapshot) {
   const auto spec = stencil::make_stencil("j3d7pt");
   space::SearchSpace space(spec);

@@ -4,8 +4,9 @@
 //   - the ported searchers reproduce their pre-refactor originals on fixed
 //     seeds, with and without injected faults (the regression pins; the
 //     originals in src/baselines are kept only as their reference),
-//   - resume is bit-identical: journal replay for the ports, native
-//     serialize_state/restore_state for the rest,
+//   - resume is bit-identical for every optimizer by journal replay, both
+//     through the driver and through make_tuner with a checkpoint snapshot,
+//     and a checkpoint refuses to resume under a different optimizer,
 //   - the tournament leaderboard JSON is byte-stable and ranks the whole
 //     roster, and the MetaTuner always picks a registered optimizer.
 
@@ -16,6 +17,7 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -24,7 +26,6 @@
 #include "baselines/garvey.hpp"
 #include "baselines/opentuner.hpp"
 #include "common/error.hpp"
-#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "gpusim/simulator.hpp"
@@ -41,6 +42,21 @@ namespace cstuner::search {
 namespace {
 
 namespace fs = std::filesystem;
+
+/// The roster, split into the ported searchers and the ones written
+/// directly against the interface (Registry.RosterCoversPortsAndNatives
+/// keeps the two lists equal to the registry).
+constexpr const char* kPorts[] = {"island-ga", "opentuner-ga", "opentuner-de",
+                                  "hill",      "garvey",       "artemis"};
+constexpr const char* kNatives[] = {"anneal",    "pso",    "de",
+                                    "surrogate", "random", "spread"};
+
+/// Test-name suffix for an optimizer-name parameter ('-' is not allowed).
+constexpr auto kParamName = [](const auto& info) {
+  std::string name = info.param;
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
+};
 
 std::string fresh_dir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "cstuner_zoo_" + name;
@@ -136,7 +152,7 @@ class ZooFixture : public ::testing::Test {
 
   /// Interrupts a run after `interrupt_iterations` journaled iterations,
   /// then resumes a fresh instance against the replayed journal — the
-  /// ports' resume contract (docs/fault-tolerance.md).
+  /// resume contract of every optimizer (docs/fault-tolerance.md).
   Outcome run_journal_resumed(const std::string& name, std::uint64_t seed,
                               const tuner::StopCriteria& stop,
                               std::size_t interrupt_iterations) {
@@ -159,6 +175,32 @@ class ZooFixture : public ::testing::Test {
     return outcome_of(evaluator);
   }
 
+  /// Tunes `name` through make_tuner to `budget_s` virtual seconds. With a
+  /// checkpoint directory the run journals there and ends like
+  /// `cstuner tune --checkpoint`: flush plus a closing snapshot. With
+  /// `resume` the directory is loaded first, like `--resume`.
+  Outcome run_tune(const std::string& name, std::uint64_t seed,
+                   double budget_s, double fault_rate,
+                   const std::string& dir = "", bool resume = false) {
+    std::optional<tuner::Checkpoint> checkpoint;
+    tuner::Evaluator evaluator(sim_, space_, {}, seed);
+    arm_faults(evaluator, seed, fault_rate);
+    if (!dir.empty()) {
+      checkpoint.emplace(dir);
+      if (resume) checkpoint->load();
+      evaluator.set_checkpoint(&*checkpoint);
+    }
+    core::CsTunerOptions options;
+    options.seed = seed;
+    make_tuner(name, options)->tune(evaluator,
+                                    {.max_virtual_seconds = budget_s});
+    if (checkpoint.has_value()) {
+      checkpoint->flush();
+      checkpoint->write_snapshot(evaluator.serialize_state());
+    }
+    return outcome_of(evaluator);
+  }
+
   stencil::StencilSpec spec_;
   space::SearchSpace space_;
   gpusim::Simulator sim_;
@@ -167,14 +209,10 @@ class ZooFixture : public ::testing::Test {
 // --- Registry -------------------------------------------------------------
 
 TEST(Registry, RosterCoversPortsAndNatives) {
+  std::set<std::string> expected(std::begin(kPorts), std::end(kPorts));
+  expected.insert(std::begin(kNatives), std::end(kNatives));
   const auto names = optimizer_registry().names();
-  EXPECT_GE(names.size(), 12u);
-  for (const char* expected :
-       {"anneal", "artemis", "de", "garvey", "hill", "island-ga",
-        "opentuner-de", "opentuner-ga", "pso", "random", "spread",
-        "surrogate"}) {
-    EXPECT_TRUE(optimizer_registry().contains(expected)) << expected;
-  }
+  EXPECT_EQ(std::set<std::string>(names.begin(), names.end()), expected);
 }
 
 TEST(Registry, UnknownNameListsEveryAvailableOptimizer) {
@@ -246,8 +284,7 @@ TEST_F(ZooFixture, VirtualBudgetStopsEveryOptimizerAtAStepBoundary) {
 TEST_F(ZooFixture, ZeroBudgetMeansZeroEvaluationsForNativeOptimizers) {
   // The natives allow a stop check before their first proposal; a zero
   // budget is already expired, so nothing may be measured.
-  for (const char* name :
-       {"anneal", "pso", "de", "surrogate", "random", "spread"}) {
+  for (const char* name : kNatives) {
     SCOPED_TRACE(name);
     const Outcome run = run_zoo(name, 5, {.max_virtual_seconds = 0.0});
     EXPECT_EQ(run.evals, 0u);
@@ -305,7 +342,10 @@ TEST_F(ZooFixture, ArtemisPortMatchesOriginalExactly) {
   expect_pin("artemis", original, true);
 }
 
-// --- Resume: journal replay (ports) ---------------------------------------
+// --- Resume: journal replay ----------------------------------------------
+//
+// Every optimizer resumes the same way: a fresh instance re-driven against a
+// journal-loaded evaluator.
 
 class JournalResumeTest : public ZooFixture,
                           public ::testing::WithParamInterface<const char*> {};
@@ -317,59 +357,49 @@ TEST_P(JournalResumeTest, ResumesBitIdenticallyFromMidRunJournal) {
   EXPECT_EQ(run_journal_resumed(name, 55, stop, 2), uninterrupted);
 }
 
-INSTANTIATE_TEST_SUITE_P(Ports, JournalResumeTest,
-                         ::testing::Values("island-ga", "opentuner-ga",
-                                           "opentuner-de", "hill", "garvey",
-                                           "artemis"),
-                         [](const auto& info) {
-                           std::string name = info.param;
-                           std::replace(name.begin(), name.end(), '-', '_');
-                           return name;
-                         });
+INSTANTIATE_TEST_SUITE_P(Ports, JournalResumeTest, ::testing::ValuesIn(kPorts),
+                         kParamName);
+INSTANTIATE_TEST_SUITE_P(Natives, JournalResumeTest,
+                         ::testing::ValuesIn(kNatives), kParamName);
 
-TEST_F(ZooFixture, PortsDeclineNativeStateRestore) {
-  // The ports resume by journal replay: restore_state must return false so
-  // the driver re-runs them from the top against the replayed journal.
-  for (const char* name : {"island-ga", "opentuner-ga", "opentuner-de",
-                           "hill", "garvey", "artemis"}) {
-    SCOPED_TRACE(name);
-    const auto optimizer = optimizer_registry().make(name, {.seed = 5});
-    JsonWriter state;
-    optimizer->serialize_state(state);
-    EXPECT_FALSE(optimizer->restore_state(json_parse(state.str())));
+// The CLI's resume path: make_tuner with a checkpoint attached, a closing
+// snapshot, then load() and a fresh evaluator tuned to a longer budget.
+
+class TuneResumeTest : public ZooFixture,
+                       public ::testing::WithParamInterface<std::string> {};
+
+TEST_P(TuneResumeTest, ResumedTuneMatchesUninterrupted) {
+  const std::string name = GetParam();
+  for (const double fault_rate : kPinFaultRates) {
+    SCOPED_TRACE("fault rate " + std::to_string(fault_rate));
+    const Outcome uninterrupted = run_tune(name, 7, 20.0, fault_rate);
+    const std::string dir = fresh_dir("tune_resume_" + name);
+    run_tune(name, 7, 5.0, fault_rate, dir);
+    EXPECT_EQ(run_tune(name, 7, 20.0, fault_rate, dir, /*resume=*/true),
+              uninterrupted);
   }
 }
 
-// --- Resume: native serialize/restore -------------------------------------
+INSTANTIATE_TEST_SUITE_P(Registry, TuneResumeTest,
+                         ::testing::ValuesIn(optimizer_registry().names()),
+                         kParamName);
 
-class NativeResumeTest : public ZooFixture,
-                         public ::testing::WithParamInterface<const char*> {};
-
-TEST_P(NativeResumeTest, RestoredInstanceContinuesBitIdentically) {
-  const std::string name = GetParam();
-  const tuner::StopCriteria stop{.max_virtual_seconds = 20.0};
-  const Outcome uninterrupted = run_zoo(name, 55, stop);
-
-  // Interrupt after two steps, snapshot the optimizer, and hand the state
-  // to a FRESH instance that finishes the run against the same evaluator
-  // (in production the evaluator side is reconstructed by journal replay).
-  ThreadPool pool(0);
-  tuner::Evaluator evaluator(sim_, space_, {}, 55, &pool);
-  const auto first = optimizer_registry().make(name, {.seed = 55});
-  run_optimizer(*first, evaluator, {.max_iterations = 2});
-  JsonWriter state;
-  first->serialize_state(state);
-
-  const auto resumed = optimizer_registry().make(name, {.seed = 55});
-  ASSERT_TRUE(resumed->restore_state(json_parse(state.str())));
-  EXPECT_EQ(resumed->completed_steps(), first->completed_steps());
-  run_optimizer(*resumed, evaluator, stop);
-  EXPECT_EQ(outcome_of(evaluator), uninterrupted);
+TEST_F(ZooFixture, ResumeByADifferentOptimizerIsRefused) {
+  const std::string dir = fresh_dir("resume_other");
+  run_tune("anneal", 7, 2.0, 0.0, dir);
+  try {
+    run_tune("pso", 7, 5.0, 0.0, dir, /*resume=*/true);
+    FAIL() << "an anneal checkpoint resumed under pso";
+  } catch (const UsageError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'anneal'"), std::string::npos) << what;
+    EXPECT_NE(what.find("'pso'"), std::string::npos) << what;
+  }
+  // The alias resolves to the optimizer that wrote the checkpoint.
+  const std::string ga_dir = fresh_dir("resume_alias");
+  run_tune("opentuner-ga", 7, 2.0, 0.0, ga_dir);
+  EXPECT_NO_THROW(run_tune("opentuner", 7, 5.0, 0.0, ga_dir, true));
 }
-
-INSTANTIATE_TEST_SUITE_P(Natives, NativeResumeTest,
-                         ::testing::Values("anneal", "pso", "de", "surrogate",
-                                           "random", "spread"));
 
 // --- Driver ---------------------------------------------------------------
 

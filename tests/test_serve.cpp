@@ -443,41 +443,53 @@ TEST(SessionManagerTest, DeadlineExpiryDoesNotPoisonConcurrentSession) {
 }
 
 TEST(SessionManagerTest, DrainParksRunningSessionAndRestartResumesBitIdentical) {
-  const std::string state_dir = fresh_dir("drain_resume");
-  TuneRequest request = small_tune("j3d7pt", 31);
-  // Sized so the run lasts a couple hundred milliseconds of wall time —
-  // the drain below lands well inside it.
-  request.budget_s = 600.0;
-  request.universe = 20000;
+  // csTuner, and a registry optimizer: both resume through make_tuner by
+  // journal replay. Each budget is sized so the run lasts hundreds of
+  // milliseconds of wall time — the drain below lands well inside it. anneal
+  // runs out of new settings near 306 virtual seconds on this cell, so its
+  // 400 s budget ends on the driver's progress guard (~1 s of wall).
+  struct Case {
+    const char* method;
+    double budget_s;
+  };
+  for (const Case& c : {Case{"csTuner", 600.0}, Case{"anneal", 400.0}}) {
+    SCOPED_TRACE(c.method);
+    const std::string state_dir =
+        fresh_dir(std::string("drain_resume_") + c.method);
+    TuneRequest request = small_tune("j3d7pt", 31);
+    request.method = c.method;
+    request.budget_s = c.budget_s;
+    request.universe = 20000;
 
-  // Reference: the same request, never interrupted.
-  const SessionResult reference =
-      run_to_completion(fresh_dir("drain_reference"), request);
-  EXPECT_EQ(reference.state, SessionState::kDone);
+    // Reference: the same request, never interrupted.
+    const SessionResult reference = run_to_completion(
+        fresh_dir(std::string("drain_reference_") + c.method), request);
+    EXPECT_EQ(reference.state, SessionState::kDone);
 
-  std::uint64_t id = 0;
-  {
-    SessionManager manager(quiet_options(state_dir));
-    const SubmitOutcome out = manager.submit(request);
-    ASSERT_TRUE(out.accepted);
-    id = out.id;
-    // Let it get into the tune, then drain mid-flight.
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    EXPECT_TRUE(manager.drain(30.0));
-    const auto parked = manager.status(id);
-    ASSERT_TRUE(parked.has_value());
-    EXPECT_EQ(parked->state, SessionState::kInterrupted);
-    // Parked sessions publish no result.json — that absence marks them
-    // for re-adoption.
-    EXPECT_FALSE(fs::exists(state_dir + "/sessions/" + std::to_string(id) +
-                            "/result.json"));
+    std::uint64_t id = 0;
+    {
+      SessionManager manager(quiet_options(state_dir));
+      const SubmitOutcome out = manager.submit(request);
+      ASSERT_TRUE(out.accepted);
+      id = out.id;
+      // Let it get into the tune, then drain mid-flight.
+      std::this_thread::sleep_for(std::chrono::milliseconds(30));
+      EXPECT_TRUE(manager.drain(30.0));
+      const auto parked = manager.status(id);
+      ASSERT_TRUE(parked.has_value());
+      EXPECT_EQ(parked->state, SessionState::kInterrupted);
+      // Parked sessions publish no result.json — that absence marks them
+      // for re-adoption.
+      EXPECT_FALSE(fs::exists(state_dir + "/sessions/" + std::to_string(id) +
+                              "/result.json"));
+    }
+
+    SessionManager restarted(quiet_options(state_dir));
+    EXPECT_EQ(restarted.adopted(), 1u);
+    const auto resumed = restarted.result(id, 90.0);
+    ASSERT_TRUE(resumed.has_value());
+    expect_bit_identical(*resumed, reference);
   }
-
-  SessionManager restarted(quiet_options(state_dir));
-  EXPECT_EQ(restarted.adopted(), 1u);
-  const auto resumed = restarted.result(id, 90.0);
-  ASSERT_TRUE(resumed.has_value());
-  expect_bit_identical(*resumed, reference);
 }
 
 TEST(SessionManagerTest, AnyRegistryOptimizerRunsAsAMethod) {

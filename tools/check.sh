@@ -92,7 +92,7 @@ run_stage "serve-tests(kill/recover/overload)" serve_tests || true
 
 # Optimizer-zoo gate (docs/optimizers.md): the pluggable-searcher suite —
 # worker determinism, regression pins against the pre-refactor searchers,
-# journal/native resume, tournament byte-stability, the zoo CLI paths —
+# journal-replay resume, tournament byte-stability, the zoo CLI paths —
 # under the sanitizers while a fifth of all evaluations are failing.
 optimizer_suite() {
   CSTUNER_FAULT_RATE=0.2 ctest --test-dir "${BUILD}" --output-on-failure \
