@@ -17,8 +17,7 @@
 //               space::estimate_resources, the resource limits, and the
 //               occupancy model (the kernel must be launchable at all).
 //
-// The fourth pass (search-space lint) lives in analysis/space_lint.hpp; the
-// tuner-side pruning built on the same machinery in analysis/pruner.hpp.
+// The fourth pass (search-space lint) lives in analysis/space_lint.hpp.
 
 #include "analysis/diagnostic.hpp"
 #include "analysis/kernel_model.hpp"

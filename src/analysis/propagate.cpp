@@ -22,32 +22,10 @@ using space_ns::Setting;
 
 constexpr std::size_t idx(ParamId id) { return static_cast<std::size_t>(id); }
 
-constexpr ParamId kSplitParams[7] = {
-    space_ns::kUseShared,  space_ns::kUseConstant,
-    space_ns::kUseStreaming, space_ns::kSD,
-    space_ns::kUseRetiming, space_ns::kUsePrefetching,
-    space_ns::kTemporal};
-
 constexpr ParamId kCmIds[3] = {space_ns::kCMx, space_ns::kCMy, space_ns::kCMz};
 constexpr ParamId kBmIds[3] = {space_ns::kBMx, space_ns::kBMy, space_ns::kBMz};
 constexpr ParamId kUfIds[3] = {space_ns::kUFx, space_ns::kUFy, space_ns::kUFz};
 constexpr ParamId kTbIds[3] = {space_ns::kTBx, space_ns::kTBy, space_ns::kTBz};
-
-std::array<std::int64_t, 7> split_key_of_region(const EnumRegion& region) {
-  std::array<std::int64_t, 7> key{};
-  for (std::size_t i = 0; i < 7; ++i) {
-    key[i] = region.pinned[idx(kSplitParams[i])];
-  }
-  return key;
-}
-
-std::array<std::int64_t, 7> split_key_of_setting(const Setting& setting) {
-  std::array<std::int64_t, 7> key{};
-  for (std::size_t i = 0; i < 7; ++i) {
-    key[i] = setting.get(kSplitParams[i]);
-  }
-  return key;
-}
 
 /// Mutable per-region propagation state: one ValueDomain per free parameter.
 struct RegionState {
@@ -184,11 +162,6 @@ bool PropagationResult::value_proven_dead(space::ParamId param,
   return false;
 }
 
-int PropagationResult::region_of(const space::Setting& setting) const {
-  const auto it = region_index.find(split_key_of_setting(setting));
-  return it == region_index.end() ? -1 : it->second;
-}
-
 PropagationResult propagate(const space::SearchSpace& space,
                             const PropagateOptions& options) {
   PropagationResult result;
@@ -285,10 +258,6 @@ PropagationResult propagate(const space::SearchSpace& space,
     summary.empty_reason = st.empty_reason;
     result.region_summaries.push_back(std::move(summary));
     result.regions.push_back(st.region);
-  }
-  for (std::size_t r = 0; r < result.regions.size(); ++r) {
-    result.region_index[split_key_of_region(result.regions[r])] =
-        static_cast<int>(r);
   }
   if (options.compute_counts) {
     const auto count_one = [&](std::size_t r) {

@@ -20,8 +20,7 @@
 //      valid-setting counts per region (space/lazy_universe.hpp's counting
 //      DP over the pruned domains).
 //
-// The result feeds lint_space (proven diagnostics), analysis::StaticPruner
-// (domain checks before per-setting validation), and the CLI's
+// The result feeds lint_space (proven diagnostics) and the CLI's
 // `analyze --space` mode.
 
 #include <array>
@@ -90,14 +89,6 @@ struct PropagationResult {
   /// True iff `value` is admissible for `param` yet appears in no valid
   /// setting.
   bool value_proven_dead(space::ParamId param, std::int64_t value) const;
-  /// Index into regions() of the region owning this setting's bool/enum
-  /// pin tuple, or -1 when no region encodes it (the setting then violates
-  /// the canonical-encoding or temporal rules). Settings should be
-  /// canonicalized first.
-  int region_of(const space::Setting& setting) const;
-
-  /// Split-parameter pin tuple -> region index (see region_of).
-  std::map<std::array<std::int64_t, 7>, int> region_index;
 };
 
 /// Stable rule identifier ("coverage", "register-file", ...) parsed from a

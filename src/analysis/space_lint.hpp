@@ -4,8 +4,7 @@
 // diagnostics: per-parameter value liveness — a value is *dead* when no
 // valid setting assigns it — jointly infeasible bool/enum pairs, and the
 // exact valid count. Auto-tuning spaces are notoriously full of such holes
-// (Schoonhoven et al.); surfacing them both documents the space and feeds
-// the tuner-side static pruning (analysis/pruner.hpp).
+// (Schoonhoven et al.); surfacing them documents the space.
 //
 // Every finding is proven by the engine and tagged "proven"; only the
 // sampled valid fraction is an estimate and is tagged "heuristic"

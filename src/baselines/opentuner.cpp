@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
-#include "analysis/pruner.hpp"
 #include "baselines/subspace.hpp"
 #include "common/error.hpp"
 #include "obs/obs.hpp"
@@ -53,31 +51,18 @@ void OpenTuner::tune_global_ga(tuner::Evaluator& evaluator,
     return setting_to_genome(space, space.random_valid(rng));
   };
   ga::IslandGa island(parameter_cardinalities(space), ga_options);
-  // OpenTuner breeds plenty of constraint-invalid genomes; the static
-  // pruner hands them the penalty fitness directly (memoized per encoding)
-  // instead of routing them through the evaluator batch.
-  analysis::StaticPruner pruner(space);
+  // OpenTuner breeds plenty of constraint-invalid genomes; the evaluator
+  // scores them infinity without charging anything.
   auto evaluate = [&](const std::vector<ga::Genome>& genomes) {
     std::vector<Setting> candidates;
     candidates.reserve(genomes.size());
     for (const auto& genome : genomes) {
       candidates.push_back(genome_to_setting(space, genome));
     }
-    const auto keep = pruner.filter(candidates);
-    std::vector<Setting> kept;
-    std::vector<std::size_t> kept_pos;
-    kept.reserve(candidates.size());
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      if (keep[i]) {
-        kept.push_back(candidates[i]);
-        kept_pos.push_back(i);
-      }
-    }
-    const auto kept_results = evaluator.evaluate_batch(kept);
-    std::vector<double> fitnesses(candidates.size(), fitness_of(
-        std::numeric_limits<double>::infinity()));
-    for (std::size_t j = 0; j < kept_results.size(); ++j) {
-      fitnesses[kept_pos[j]] = fitness_of(kept_results[j].time_or_inf());
+    const auto results = evaluator.evaluate_batch(candidates);
+    std::vector<double> fitnesses(results.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      fitnesses[i] = fitness_of(results[i].time_or_inf());
     }
     return fitnesses;
   };
@@ -142,7 +127,6 @@ void OpenTuner::tune_differential_evolution(
     tuner::Evaluator& evaluator, const tuner::StopCriteria& stop) {
   const auto& space = evaluator.space();
   Rng rng(options_.seed);
-  analysis::StaticPruner pruner(space);
   const auto cards = parameter_cardinalities(space);
   const std::size_t pop_size = static_cast<std::size_t>(
       options_.ga.sub_populations * options_.ga.population_size);
@@ -208,28 +192,11 @@ void OpenTuner::tune_differential_evolution(
       }
       trial_settings.push_back(vec_to_setting(trials[i]));
     }
-    // Static pruning: invalid trial vectors keep their infinite time
-    // without occupying evaluator batch slots.
-    const auto keep = pruner.filter(trial_settings);
-    std::vector<Setting> kept;
-    std::vector<std::size_t> kept_pos;
-    kept.reserve(trial_settings.size());
-    for (std::size_t i = 0; i < trial_settings.size(); ++i) {
-      if (keep[i]) {
-        kept.push_back(trial_settings[i]);
-        kept_pos.push_back(i);
-      }
-    }
-    const auto kept_results = evaluator.evaluate_batch(kept);
-    std::vector<double> trial_times(trial_settings.size(),
-                                    std::numeric_limits<double>::infinity());
-    for (std::size_t j = 0; j < kept_results.size(); ++j) {
-      trial_times[kept_pos[j]] = kept_results[j].time_or_inf();
-    }
+    const auto trial_results = evaluator.evaluate_batch(trial_settings);
     for (std::size_t i = 0; i < pop_size; ++i) {
-      if (trial_times[i] < times[i]) {
+      if (trial_results[i].time_or_inf() < times[i]) {
         population[i] = std::move(trials[i]);
-        times[i] = trial_times[i];
+        times[i] = trial_results[i].time_or_inf();
       }
     }
     evaluator.mark_iteration();

@@ -5,8 +5,8 @@
 #include <cmath>
 #include <limits>
 #include <mutex>
+#include <optional>
 
-#include "analysis/propagate.hpp"
 #include "codegen/cuda_codegen.hpp"
 #include "core/grouping.hpp"
 #include "obs/obs.hpp"
@@ -46,17 +46,8 @@ void CsTuner::tune(tuner::Evaluator& evaluator,
   CSTUNER_TRACE_PHASE("cstuner.tune");
   report_ = PreprocessReport{};
   const auto& space = evaluator.space();
-  analysis::StaticPruner pruner(space);
-  {
-    // Symbolic domain pre-pass: proven-dead values and empty regions reject
-    // grafted candidates before the per-setting resource model runs. Sound
-    // (propagation only removes proven-dead values), so tuning results are
-    // unchanged; counts are skipped because only verdicts are needed here.
-    analysis::PropagateOptions popts;
-    popts.compute_counts = false;
-    popts.pool = evaluator.thread_pool();
-    pruner.set_domains(std::make_shared<analysis::PropagationResult>(
-        analysis::propagate(space, popts)));
+  if (tuner::Checkpoint* checkpoint = evaluator.checkpoint()) {
+    checkpoint->bind_tuner(name());
   }
   Rng rng(options_.seed);
 
@@ -67,7 +58,15 @@ void CsTuner::tune(tuner::Evaluator& evaluator,
   {
     CSTUNER_TRACE_PHASE("cstuner.offline");
     if (preset_universe_.has_value()) {
-      universe = *preset_universe_;
+      // Preset universes may carry constraint-invalid settings; drop them
+      // before any tuning stage sees them. An enumerated universe is valid
+      // by construction.
+      const space::ConstraintChecker& checker = space.checker();
+      for (const auto& setting : *preset_universe_) {
+        if (checker.is_valid(checker.canonicalized(setting))) {
+          universe.push_back(setting);
+        }
+      }
     } else {
       // Constraint-propagating enumeration (space::LazyUniverse): exact
       // count, then either the full valid space or a deterministic spread
@@ -76,19 +75,20 @@ void CsTuner::tune(tuner::Evaluator& evaluator,
       // lands on every block's start, and block starts repeat the same
       // inner lexicographic values, which collapses per-parameter diversity
       // enough to starve the per-group GA of distinct tuples.
-      space::LazyUniverse lazy(space, {}, evaluator.thread_pool());
-      report_.universe_exact_count = lazy.valid_count();
-      if (lazy.valid_count() <= options_.universe_size) {
-        universe = lazy.take_all();
+      std::optional<space::LazyUniverse> lazy;
+      {
+        CSTUNER_TRACE_PHASE("space.universe_build");
+        lazy.emplace(space, space::LazyUniverseOptions{},
+                     evaluator.thread_pool());
+      }
+      report_.universe_exact_count = lazy->valid_count();
+      CSTUNER_TRACE_PHASE("space.spread_sample");
+      if (lazy->valid_count() <= options_.universe_size) {
+        universe = lazy->take_all();
       } else {
-        universe = lazy.spread_sample(options_.universe_size, rng.next() | 1);
+        universe = lazy->spread_sample(options_.universe_size, rng.next() | 1);
       }
     }
-    // Static pruning: preset universes may carry constraint-invalid
-    // settings; drop them before any tuning stage sees them. An enumerated
-    // universe is valid by construction, so this only seeds the pruner's
-    // memo there.
-    report_.universe_pruned = pruner.prune(universe);
     if (preset_dataset_.has_value()) {
       dataset = *preset_dataset_;
     } else if (evaluator.checkpoint() != nullptr &&
@@ -97,6 +97,7 @@ void CsTuner::tune(tuner::Evaluator& evaluator,
       // offline collection entirely.
       dataset = *evaluator.checkpoint()->loaded_dataset();
     } else {
+      CSTUNER_TRACE_PHASE("tuner.collect_dataset");
       // Collection draws from its own stream so that skipping it on resume
       // leaves `rng` — and everything downstream of it — unchanged.
       Rng dataset_rng(hash_combine(options_.seed, 0xDA7A5E7ULL));
@@ -204,6 +205,34 @@ void CsTuner::tune(tuner::Evaluator& evaluator,
       static_cast<std::size_t>(options_.ga.sub_populations) *
       static_cast<std::size_t>(options_.ga.population_size);
 
+  // Grafts group value tuples onto the base and measures them as one batch;
+  // times[i] belongs to tuples[i]. Grafting can violate cross-group rules,
+  // so each candidate is repaired instead of discarded (the whole group
+  // stays searchable); anything still invalid scores infinity at the
+  // evaluator. Quarantined repeat offenders are skipped: their penalty
+  // outcome is already known, so they should not burn batch slots.
+  auto measure_tuples = [&](const GroupIndex& group,
+                            const std::vector<std::size_t>& tuples) {
+    std::vector<space::Setting> candidates;
+    std::vector<std::size_t> slots;
+    candidates.reserve(tuples.size());
+    for (std::size_t i = 0; i < tuples.size(); ++i) {
+      space::Setting candidate = base;
+      group.apply(tuples[i], candidate);
+      candidate = space.checker().repaired(candidate);
+      if (evaluator.is_quarantined(candidate.hash())) continue;
+      candidates.push_back(candidate);
+      slots.push_back(i);
+    }
+    const auto results = evaluator.evaluate_batch(candidates);
+    std::vector<double> times(tuples.size(),
+                              std::numeric_limits<double>::infinity());
+    for (std::size_t j = 0; j < results.size(); ++j) {
+      times[slots[j]] = results[j].time_or_inf();
+    }
+    return times;
+  };
+
   // Iterative per-group tuning (§IV-E). One pass tunes every group once;
   // remaining budget funds refinement passes around the improved base until
   // a pass stops paying off.
@@ -212,139 +241,96 @@ void CsTuner::tune(tuner::Evaluator& evaluator,
     CSTUNER_OBS_COUNT("cstuner.passes", 1);
     const double best_before_pass = evaluator.best_time_ms();
     for (std::size_t gi : group_order) {
-    if (stop.reached(evaluator)) break;
-    const GroupIndex& group = indices[gi];
-    if (group.cardinality() == 0) continue;
-    // Quiescent at entry and exit (island.run joins its ranks; the
-    // exhaustive branch is synchronous), so virtual attribution per group
-    // is deterministic.
-    CSTUNER_TRACE_PHASE("cstuner.group");
+      if (stop.reached(evaluator)) break;
+      const GroupIndex& group = indices[gi];
+      if (group.cardinality() == 0) continue;
+      // Quiescent at entry and exit (island.run joins its ranks; the
+      // exhaustive branch is synchronous), so virtual attribution per group
+      // is deterministic.
+      CSTUNER_TRACE_PHASE("cstuner.group");
 
-    std::size_t best_tuple = GroupIndex::npos;
-    double best_time = std::numeric_limits<double>::infinity();
-    auto consider = [&](std::size_t tuple, double time_ms) {
-      if (time_ms < best_time) {
-        best_time = time_ms;
-        best_tuple = tuple;
-      }
-    };
-
-    if (group.cardinality() <= pop_total) {
-      // Degenerate case (§V-A2): exhaustive search over the group,
-      // evaluated in iteration-sized batches across the pool.
-      const auto chunk_size =
-          static_cast<std::size_t>(options_.ga.population_size);
-      std::size_t t = 0;
-      while (t < group.cardinality() && !stop.reached(evaluator)) {
-        const std::size_t chunk_end =
-            std::min(t + chunk_size, group.cardinality());
-        std::vector<space::Setting> candidates;
-        candidates.reserve(chunk_end - t);
-        const std::size_t first_tuple = t;
-        for (; t < chunk_end; ++t) {
-          space::Setting candidate = base;
-          group.apply(t, candidate);
-          // Grafting a tuple onto the base can violate cross-group rules;
-          // repair instead of discarding so the whole group stays
-          // searchable.
-          candidates.push_back(space.checker().repaired(candidate));
+      std::size_t best_tuple = GroupIndex::npos;
+      double best_time = std::numeric_limits<double>::infinity();
+      auto consider = [&](std::size_t tuple, double time_ms) {
+        if (time_ms < best_time) {
+          best_time = time_ms;
+          best_tuple = tuple;
         }
-        // Static pruning: anything still invalid after repair never reaches
-        // the evaluator (it would score infinity there anyway). Quarantined
-        // repeat offenders are skipped the same way — a penalty outcome is
-        // already known, so they should not burn batch slots.
-        const auto keep = pruner.filter(candidates);
-        std::vector<space::Setting> kept;
-        std::vector<std::size_t> kept_pos;
-        kept.reserve(candidates.size());
-        for (std::size_t i = 0; i < candidates.size(); ++i) {
-          if (keep[i] && !evaluator.is_quarantined(candidates[i].hash())) {
-            kept.push_back(candidates[i]);
-            kept_pos.push_back(i);
-          }
-        }
-        const auto kept_results = evaluator.evaluate_batch(kept);
-        for (std::size_t j = 0; j < kept_results.size(); ++j) {
-          consider(first_tuple + kept_pos[j], kept_results[j].time_or_inf());
-        }
-        evaluator.mark_iteration();
-      }
-    } else {
-      // Evolutionary search with approximation over the re-indexed tuples.
-      // Each island hands its generation over as one batch; both islands'
-      // batches are in flight at once, so `consider` needs its own lock.
-      ga::GaOptions ga_options = options_.ga;
-      ga_options.seed =
-          hash_combine(hash_combine(options_.seed, gi + 1), pass);
-      // Survivability wiring: the fault injector's rank-kill plan drives
-      // island deaths (one-shot per entry, so the plan fires in whichever
-      // group/pass first reaches the scheduled generation), and recovery
-      // events are journaled so --resume replays a degraded run.
-      if (const tuner::FaultInjector* injector = evaluator.fault_injector();
-          injector != nullptr && injector->has_kill_plan()) {
-        ga_options.kill_predicate = [injector](int rank,
-                                               std::uint64_t generation) {
-          return injector->should_kill(rank, generation);
-        };
-      }
-      if (tuner::Checkpoint* checkpoint = evaluator.checkpoint()) {
-        ga_options.event_sink = [checkpoint](const tuner::IslandEvent& e) {
-          checkpoint->append_island_event(e);
-        };
-      }
-      ga::IslandGa island({static_cast<std::uint32_t>(group.cardinality())},
-                          ga_options);
-      std::mutex consider_mutex;
-      auto evaluate = [&](const std::vector<ga::Genome>& genomes) {
-        std::vector<space::Setting> candidates;
-        candidates.reserve(genomes.size());
-        for (const auto& genome : genomes) {
-          space::Setting candidate = base;
-          group.apply(genome[0], candidate);
-          candidates.push_back(space.checker().repaired(candidate));
-        }
-        // Static pruning: statically-invalid genomes take the penalty
-        // fitness directly instead of occupying evaluator batch slots; so
-        // do quarantined repeat offenders.
-        const auto keep = pruner.filter(candidates);
-        std::vector<space::Setting> kept;
-        std::vector<std::size_t> kept_pos;
-        kept.reserve(candidates.size());
-        for (std::size_t i = 0; i < candidates.size(); ++i) {
-          if (keep[i] && !evaluator.is_quarantined(candidates[i].hash())) {
-            kept.push_back(candidates[i]);
-            kept_pos.push_back(i);
-          }
-        }
-        const auto kept_results = evaluator.evaluate_batch(kept);
-        std::vector<double> times(candidates.size(),
-                                  std::numeric_limits<double>::infinity());
-        for (std::size_t j = 0; j < kept_results.size(); ++j) {
-          times[kept_pos[j]] = kept_results[j].time_or_inf();
-        }
-        std::vector<double> fitnesses(times.size());
-        std::lock_guard<std::mutex> lock(consider_mutex);
-        for (std::size_t i = 0; i < times.size(); ++i) {
-          consider(genomes[i][0], times[i]);
-          fitnesses[i] = fitness_of(times[i]);
-        }
-        return fitnesses;
       };
-      auto should_stop = [&](const ga::GaState& state) {
-        evaluator.mark_iteration();
-        if (stop.reached(evaluator)) return true;
-        if (!options_.use_approximation) return false;  // cap-only regime
-        if (state.generation < options_.approx.min_generations) return false;
-        return approximation_reached(state.fitnesses, options_.approx);
-      };
-      island.run(evaluate, should_stop);
-    }
 
-    if (best_tuple != GroupIndex::npos &&
-        std::isfinite(best_time)) {
-      group.apply(best_tuple, base);
-      base = space.checker().repaired(base);
-    }
+      if (group.cardinality() <= pop_total) {
+        // Degenerate case (§V-A2): exhaustive search over the group,
+        // evaluated in iteration-sized batches across the pool.
+        const auto chunk_size =
+            static_cast<std::size_t>(options_.ga.population_size);
+        std::size_t t = 0;
+        while (t < group.cardinality() && !stop.reached(evaluator)) {
+          const std::size_t chunk_end =
+              std::min(t + chunk_size, group.cardinality());
+          std::vector<std::size_t> tuples;
+          for (; t < chunk_end; ++t) tuples.push_back(t);
+          const auto times = measure_tuples(group, tuples);
+          for (std::size_t i = 0; i < tuples.size(); ++i) {
+            consider(tuples[i], times[i]);
+          }
+          evaluator.mark_iteration();
+        }
+      } else {
+        // Evolutionary search with approximation over the re-indexed
+        // tuples. Each island hands its generation over as one batch; both
+        // islands' batches are in flight at once, so `consider` needs its
+        // own lock.
+        ga::GaOptions ga_options = options_.ga;
+        ga_options.seed =
+            hash_combine(hash_combine(options_.seed, gi + 1), pass);
+        // Survivability wiring: the fault injector's rank-kill plan drives
+        // island deaths (one-shot per entry, so the plan fires in whichever
+        // group/pass first reaches the scheduled generation), and recovery
+        // events are journaled so --resume replays a degraded run.
+        if (const tuner::FaultInjector* injector = evaluator.fault_injector();
+            injector != nullptr && injector->has_kill_plan()) {
+          ga_options.kill_predicate = [injector](int rank,
+                                                 std::uint64_t generation) {
+            return injector->should_kill(rank, generation);
+          };
+        }
+        if (tuner::Checkpoint* checkpoint = evaluator.checkpoint()) {
+          ga_options.event_sink = [checkpoint](const tuner::IslandEvent& e) {
+            checkpoint->append_island_event(e);
+          };
+        }
+        ga::IslandGa island({static_cast<std::uint32_t>(group.cardinality())},
+                            ga_options);
+        std::mutex consider_mutex;
+        auto evaluate = [&](const std::vector<ga::Genome>& genomes) {
+          std::vector<std::size_t> tuples;
+          tuples.reserve(genomes.size());
+          for (const auto& genome : genomes) tuples.push_back(genome[0]);
+          const auto times = measure_tuples(group, tuples);
+          std::vector<double> fitnesses(times.size());
+          std::lock_guard<std::mutex> lock(consider_mutex);
+          for (std::size_t i = 0; i < times.size(); ++i) {
+            consider(tuples[i], times[i]);
+            fitnesses[i] = fitness_of(times[i]);
+          }
+          return fitnesses;
+        };
+        auto should_stop = [&](const ga::GaState& state) {
+          evaluator.mark_iteration();
+          if (stop.reached(evaluator)) return true;
+          if (!options_.use_approximation) return false;  // cap-only regime
+          if (state.generation < options_.approx.min_generations) {
+            return false;
+          }
+          return approximation_reached(state.fitnesses, options_.approx);
+        };
+        island.run(evaluate, should_stop);
+      }
+
+      if (best_tuple != GroupIndex::npos && std::isfinite(best_time)) {
+        group.apply(best_tuple, base);
+        base = space.checker().repaired(base);
+      }
     }
     // A pass that improved nothing has converged; further passes would
     // only replay cached evaluations.
@@ -369,8 +355,6 @@ void CsTuner::tune(tuner::Evaluator& evaluator,
     evaluator.mark_iteration();
     p = chunk_end;
   }
-
-  report_.prune = pruner.stats();
 }
 
 }  // namespace cstuner::core

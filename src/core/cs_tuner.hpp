@@ -7,7 +7,6 @@
 
 #include <optional>
 
-#include "analysis/pruner.hpp"
 #include "core/approx.hpp"
 #include "core/reindex.hpp"
 #include "core/sampling.hpp"
@@ -60,14 +59,9 @@ struct PreprocessReport {
   std::size_t universe_count = 0;
   std::size_t sampled_count = 0;
   std::size_t generated_kernel_bytes = 0;
-  /// Constraint-invalid settings dropped from the candidate universe before
-  /// tuning (only preset universes can contain them).
-  std::size_t universe_pruned = 0;
   /// Exact valid-setting count of the whole space (0 when the universe was
   /// preset).
   std::uint64_t universe_exact_count = 0;
-  /// Static-pruner counters over the whole run (universe + in-loop grafts).
-  analysis::StaticPruner::Stats prune;
 };
 
 class CsTuner : public tuner::Tuner {

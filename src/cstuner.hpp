@@ -12,7 +12,6 @@
 //   // evaluator.best_setting() / evaluator.best_time_ms()
 
 #include "analysis/analyzer.hpp"
-#include "analysis/pruner.hpp"
 #include "analysis/space_lint.hpp"
 #include "baselines/artemis.hpp"
 #include "baselines/garvey.hpp"

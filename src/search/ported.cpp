@@ -38,7 +38,6 @@ IslandGaOptimizer::IslandGaOptimizer(std::string name, ga::GaOptions ga,
 
 void IslandGaOptimizer::bind(tuner::Evaluator& evaluator) {
   space_ = &evaluator.space();
-  pruner_.emplace(*space_);
   cards_ = parameter_cardinalities(*space_);
   islands_.resize(static_cast<std::size_t>(ga_.sub_populations));
   for (std::size_t r = 0; r < islands_.size(); ++r) {
@@ -46,23 +45,12 @@ void IslandGaOptimizer::bind(tuner::Evaluator& evaluator) {
     islands_[r].rng = Rng(hash_combine(seed_, r + 101));
   }
   pending_.resize(islands_.size());
-  slot_index_.resize(islands_.size());
 }
 
 void IslandGaOptimizer::encode_island(std::size_t r,
-                                      std::vector<Setting>& batch) {
-  std::vector<Setting> candidates;
-  candidates.reserve(pending_[r].size());
+                                      std::vector<Setting>& batch) const {
   for (const auto& genome : pending_[r]) {
-    candidates.push_back(genome_to_setting(*space_, genome));
-  }
-  const auto keep = pruner_->filter(candidates);
-  slot_index_[r].assign(candidates.size(), -1);
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (keep[i]) {
-      slot_index_[r][i] = static_cast<std::ptrdiff_t>(batch.size());
-      batch.push_back(candidates[i]);
-    }
+    batch.push_back(genome_to_setting(*space_, genome));
   }
 }
 
@@ -96,15 +84,13 @@ std::vector<Setting> IslandGaOptimizer::propose() {
 void IslandGaOptimizer::observe(const std::vector<Setting>& batch,
                                 const std::vector<tuner::EvalResult>& results) {
   (void)batch;
-  // Per-slot fitness: measured, or the penalty for pruned-out genomes.
+  // Islands own consecutive slices of the batch, in rank order.
   std::vector<std::vector<double>> fits(islands_.size());
+  std::size_t at = 0;
   for (std::size_t r = 0; r < islands_.size(); ++r) {
-    fits[r].resize(pending_[r].size());
+    fits[r].reserve(pending_[r].size());
     for (std::size_t i = 0; i < pending_[r].size(); ++i) {
-      const std::ptrdiff_t at = slot_index_[r][i];
-      fits[r][i] = fitness_of(
-          at >= 0 ? results[static_cast<std::size_t>(at)].time_or_inf()
-                  : kInf);
+      fits[r].push_back(fitness_of(results[at++].time_or_inf()));
     }
   }
   if (!initialized_) {
@@ -294,7 +280,6 @@ void OpenTunerDeOptimizer::bind(tuner::Evaluator& evaluator) {
   space_ = &evaluator.space();
   evaluator_ = &evaluator;
   rng_ = Rng(seed_);
-  pruner_.emplace(*space_);
   cards_ = parameter_cardinalities(*space_);
   population_.resize(pop_size_);
   times_.assign(pop_size_, kInf);
@@ -318,44 +303,27 @@ std::vector<Setting> OpenTunerDeOptimizer::propose() {
   }
   // The original also exhausts when the population goes stale: further
   // generations would only replay cached evaluations.
-  while (stale_generations_ < 50) {
-    evals_before_ = evaluator_->unique_evaluations();
-    trials_.assign(pop_size_, {});
-    std::vector<Setting> trial_settings;
-    trial_settings.reserve(pop_size_);
-    for (std::size_t i = 0; i < pop_size_; ++i) {
-      // DE/rand/1/bin mutant, with the original's exact draw order (the
-      // forced dimension spends no coin).
-      std::size_t a = rng_.index(pop_size_), b = rng_.index(pop_size_),
-                  c = rng_.index(pop_size_);
-      trials_[i] = population_[i];
-      const std::size_t forced = rng_.index(kParamCount);
-      for (std::size_t d = 0; d < kParamCount; ++d) {
-        if (d == forced || rng_.bernoulli(kDeCr)) {
-          trials_[i][d] = population_[a][d] +
-                          kDeF * (population_[b][d] - population_[c][d]);
-        }
-      }
-      trial_settings.push_back(de_vec_to_setting(*space_, cards_, trials_[i]));
-    }
-    const auto keep = pruner_->filter(trial_settings);
-    std::vector<Setting> kept;
-    kept_pos_.clear();
-    kept.reserve(trial_settings.size());
-    for (std::size_t i = 0; i < trial_settings.size(); ++i) {
-      if (keep[i]) {
-        kept.push_back(trial_settings[i]);
-        kept_pos_.push_back(i);
+  if (stale_generations_ >= 50) return {};
+  evals_before_ = evaluator_->unique_evaluations();
+  trials_.assign(pop_size_, {});
+  std::vector<Setting> trial_settings;
+  trial_settings.reserve(pop_size_);
+  for (std::size_t i = 0; i < pop_size_; ++i) {
+    // DE/rand/1/bin mutant, with the original's exact draw order (the
+    // forced dimension spends no coin).
+    std::size_t a = rng_.index(pop_size_), b = rng_.index(pop_size_),
+                c = rng_.index(pop_size_);
+    trials_[i] = population_[i];
+    const std::size_t forced = rng_.index(kParamCount);
+    for (std::size_t d = 0; d < kParamCount; ++d) {
+      if (d == forced || rng_.bernoulli(kDeCr)) {
+        trials_[i][d] = population_[a][d] +
+                        kDeF * (population_[b][d] - population_[c][d]);
       }
     }
-    if (!kept.empty()) return kept;
-    // Every trial pruned: the original would run an empty batch, select
-    // nothing, mark the iteration and count the generation stale. Settle
-    // that here (an empty propose means "exhausted" to the driver).
-    evaluator_->mark_iteration();
-    ++stale_generations_;
+    trial_settings.push_back(de_vec_to_setting(*space_, cards_, trials_[i]));
   }
-  return {};
+  return trial_settings;
 }
 
 void OpenTunerDeOptimizer::observe(const std::vector<Setting>& batch,
@@ -371,14 +339,10 @@ void OpenTunerDeOptimizer::observe(const std::vector<Setting>& batch,
     allow_stop_ = true;
     return;
   }
-  std::vector<double> trial_times(pop_size_, kInf);
-  for (std::size_t j = 0; j < results.size(); ++j) {
-    trial_times[kept_pos_[j]] = results[j].time_or_inf();
-  }
   for (std::size_t i = 0; i < pop_size_; ++i) {
-    if (trial_times[i] < times_[i]) {
+    if (results[i].time_or_inf() < times_[i]) {
       population_[i] = std::move(trials_[i]);
-      times_[i] = trial_times[i];
+      times_[i] = results[i].time_or_inf();
     }
   }
   mark_ = true;

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <optional>
 
-#include "analysis/pruner.hpp"
 #include "baselines/artemis.hpp"
 #include "baselines/garvey.hpp"
 #include "baselines/subspace.hpp"
@@ -55,22 +54,19 @@ class IslandGaOptimizer : public Optimizer {
     std::vector<double> fitnesses;
   };
 
-  /// Converts one island's pending genomes to pruned candidates, appending
-  /// to `batch` and recording each slot's batch index (-1 = pruned).
-  void encode_island(std::size_t r, std::vector<space::Setting>& batch);
+  /// Appends one island's pending genomes to `batch` as settings.
+  void encode_island(std::size_t r, std::vector<space::Setting>& batch) const;
 
   std::string name_;
   ga::GaOptions ga_;
   std::uint64_t seed_;
 
   const space::SearchSpace* space_ = nullptr;
-  std::optional<analysis::StaticPruner> pruner_;
   std::vector<std::uint32_t> cards_;
   std::vector<Island> islands_;
-  /// Offspring awaiting fitness, per island, plus each slot's index into
-  /// the proposed batch (-1 when the pruner rejected it).
+  /// Offspring awaiting fitness, per island; island r's settings follow
+  /// islands 0..r-1's in the proposed batch.
   std::vector<std::vector<ga::Genome>> pending_;
-  std::vector<std::vector<std::ptrdiff_t>> slot_index_;
   bool initialized_ = false;
   bool mark_ = false;
   std::size_t gens_done_ = 0;
@@ -127,14 +123,12 @@ class OpenTunerDeOptimizer : public Optimizer {
 
   const space::SearchSpace* space_ = nullptr;
   tuner::Evaluator* evaluator_ = nullptr;
-  std::optional<analysis::StaticPruner> pruner_;
   std::vector<std::uint32_t> cards_;
   Rng rng_{0};
   bool seeded_ = false;
   std::vector<std::vector<double>> population_;
   std::vector<double> times_;
   std::vector<std::vector<double>> trials_;
-  std::vector<std::size_t> kept_pos_;
   std::size_t evals_before_ = 0;
   int stale_generations_ = 0;
   bool mark_ = false;

@@ -114,14 +114,9 @@ OptimizerTuner::OptimizerTuner(std::unique_ptr<Optimizer> optimizer)
 void OptimizerTuner::tune(tuner::Evaluator& evaluator,
                           const tuner::StopCriteria& stop) {
   // Resume is journal replay: the fresh optimizer re-proposes the journaled
-  // batches and is served their results. Another optimizer's journal would
-  // replay into a different run, so a snapshot naming one is refused.
-  if (const tuner::Checkpoint* cp = evaluator.checkpoint();
-      cp != nullptr && !cp->loaded_optimizer_name().empty() &&
-      cp->loaded_optimizer_name() != name()) {
-    throw UsageError("checkpoint " + cp->directory() + " was written by '" +
-                     cp->loaded_optimizer_name() +
-                     "'; cannot resume it with '" + name() + "'");
+  // batches and is served their results.
+  if (tuner::Checkpoint* checkpoint = evaluator.checkpoint()) {
+    checkpoint->bind_tuner(name());
   }
   run_optimizer(*optimizer_, evaluator, stop);
 }

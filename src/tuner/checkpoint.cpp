@@ -296,6 +296,19 @@ void Checkpoint::set_dataset_json(std::string dataset_json) {
   dataset_json_ = std::move(dataset_json);
 }
 
+void Checkpoint::bind_tuner(const std::string& name) {
+  if (!loaded_optimizer_name_.empty() && loaded_optimizer_name_ != name) {
+    throw UsageError("checkpoint " + directory_ + " was written by '" +
+                     loaded_optimizer_name_ + "'; cannot resume it with '" +
+                     name + "'");
+  }
+  JsonWriter json;
+  json.begin_object();
+  json.field("optimizer", name);
+  json.end_object();
+  optimizer_state_json_ = json.str();
+}
+
 void Checkpoint::set_optimizer_state_json(std::string state_json) {
   optimizer_state_json_ = std::move(state_json);
 }

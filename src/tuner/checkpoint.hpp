@@ -149,14 +149,23 @@ class Checkpoint {
     return loaded_dataset_;
   }
 
+  /// Claims the checkpoint for the tuner `name` (a registry optimizer name
+  /// or "csTuner"); every tuner calls this before any offline stage.
+  /// Resume is journal replay, which only reproduces the run of the tuner
+  /// that wrote the journal, so a loaded snapshot naming a different tuner
+  /// throws UsageError naming both. A snapshot naming none (an older
+  /// build's csTuner run) resumes under any tuner. Snapshots written from
+  /// now on name `name`.
+  void bind_tuner(const std::string& name);
+
   /// Registers the optimizer's {optimizer, steps} record to embed in
   /// snapshots. The search driver (search/optimizer.cpp) refreshes it at
   /// every iteration boundary, just before the mark flushes the journal.
   /// Resume never restores optimizer state from it — every optimizer
   /// resumes by journal replay — it only records who wrote the checkpoint.
   void set_optimizer_state_json(std::string state_json);
-  /// Name of the optimizer that wrote the loaded snapshot; empty when there
-  /// is none (no snapshot, or one written by a non-optimizer tuner).
+  /// Name of the tuner that wrote the loaded snapshot; empty when there is
+  /// none (no snapshot, or an older build's csTuner snapshot).
   /// Snapshots from older builds that also carry native optimizer state
   /// load the same: only the name is read.
   const std::string& loaded_optimizer_name() const {

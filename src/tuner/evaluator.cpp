@@ -75,23 +75,6 @@ void Evaluator::set_checkpoint(Checkpoint* checkpoint) {
   checkpoint_ = checkpoint;
 }
 
-bool Evaluator::cache_lookup(std::uint64_t key, EvalResult& value_out) {
-  // One shard-index computation serves both the table access and the hit
-  // counter below.
-  const std::size_t idx = shard_index(key);
-  Shard& shard = shards_[idx];
-  bool hit = false;
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (const EvalResult* found = shard.map.find(key)) {
-      value_out = *found;
-      hit = true;
-    }
-  }
-  if (hit) count_cache_hits(idx, 1);
-  return hit;
-}
-
 void Evaluator::count_cache_hits(std::size_t shard_idx, std::uint64_t hits) {
 #if !defined(CSTUNER_OBS_DISABLED)
   // Per-shard hit counters expose cache skew (a hot shard means hash
@@ -138,10 +121,8 @@ void Evaluator::precheck(const space::Setting& setting) const {
 
 double Evaluator::noisy_mean_ms(std::uint64_t key,
                                 double noise_free_ms) const {
-  // (The "evaluator.measure_runs" counter is bumped by the callers —
-  // per measurement on the single path, aggregated per chunk on the batch
-  // path — so the totals are identical but the batch path pays one atomic
-  // per chunk instead of one per eval.)
+  // (The "evaluator.measure_runs" counter is bumped once per chunk by
+  // evaluate_batch, not here per eval.)
   // The evaluator key IS setting.hash() (evaluate_result), so the noise
   // seeds below reproduce the historical measure_ms(spec, setting, run)
   // chain bit for bit — the profile is just no longer recomputed per run.
@@ -245,18 +226,6 @@ Evaluator::Probe Evaluator::run_attempt_ladder(std::uint64_t key,
   return probe;
 }
 
-Evaluator::Probe Evaluator::probe_one(std::uint64_t key,
-                                      const space::Setting& setting,
-                                      int max_attempts) {
-  if (EvalResult cached; cache_lookup(key, cached)) {
-    Probe probe;
-    probe.state = Probe::State::kCached;
-    probe.result = cached;
-    return probe;
-  }
-  return probe_uncached(key, setting, max_attempts);
-}
-
 Evaluator::Probe Evaluator::probe_uncached(std::uint64_t key,
                                            const space::Setting& setting,
                                            int max_attempts) {
@@ -296,7 +265,7 @@ Evaluator::Probe Evaluator::probe_uncached(std::uint64_t key,
 
 EvalResult Evaluator::commit_one(std::uint64_t key,
                                  const space::Setting& setting,
-                                 const Probe& probe, CommitTotals* totals) {
+                                 const Probe& probe, CommitTotals& totals) {
   switch (probe.state) {
     case Probe::State::kCached:
     case Probe::State::kInvalid:
@@ -315,23 +284,9 @@ EvalResult Evaluator::commit_one(std::uint64_t key,
 
   const EvalResult& result = probe.result;
 
-  // Cache first, exactly as a serial caller would probe: successes and
-  // permanent failures are cacheable; a duplicate committer (earlier in
-  // this batch, or a concurrent batch) serves the cached outcome and
-  // charges nothing.
-  const bool cacheable = result.ok() ||
-                         result.status == EvalStatus::kCompileFail ||
-                         result.status == EvalStatus::kCrash;
-  if (!probe.cache_done) {
-    Shard& shard = shard_for(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (cacheable) {
-      const auto [slot, inserted] = shard.map.try_emplace(key, result);
-      if (!inserted) return *slot;
-    } else if (const EvalResult* found = shard.map.find(key)) {
-      return *found;
-    }
-  }
+  // evaluate_batch's cache step already ran: this slot's result is cached
+  // if cacheable, and no earlier committer owns the key.
+  const bool cacheable = is_cacheable(result);
 
   // Quarantine accounting under the fault mutex. Charges for one key are
   // capped at the quarantine threshold: once the key is quarantined (by an
@@ -408,18 +363,10 @@ EvalResult Evaluator::commit_one(std::uint64_t key,
                                     std::memory_order_acq_rel);
   }
   if (result.ok()) {
-    const std::int64_t cost_ticks = success_cost_ticks(result.time_ms);
-    if (totals != nullptr) {
-      // Tick-quantized before accumulation, exactly like the direct
-      // fetch_add — integer sums are associative, so the flushed total is
-      // bit-identical to per-eval charging.
-      totals->virtual_ticks += cost_ticks;
-      ++totals->evals;
-    } else {
-      virtual_time_ticks_.fetch_add(cost_ticks, std::memory_order_acq_rel);
-      unique_evals_.fetch_add(1, std::memory_order_acq_rel);
-      CSTUNER_OBS_COUNT("evaluator.evals", 1);
-    }
+    // Tick-quantized before accumulation: integer sums are associative, so
+    // the flushed total is bit-identical to per-eval charging.
+    totals.virtual_ticks += success_cost_ticks(result.time_ms);
+    ++totals.evals;
   }
 
   // Journal the committed outcome (unless it *came* from the journal).
@@ -446,7 +393,7 @@ EvalResult Evaluator::commit_one(std::uint64_t key,
   // The trace record below reads the shared clock/counters; flush the
   // batch-local charges first so it sees exactly what per-eval charging
   // would have shown.
-  if (totals != nullptr) flush_commit_totals(*totals);
+  flush_commit_totals(totals);
 
   std::lock_guard<std::mutex> lock(result_mutex_);
   if (result.failed()) {
@@ -491,26 +438,7 @@ void Evaluator::check_cancelled() const {
 }
 
 EvalResult Evaluator::evaluate_result(const space::Setting& setting) {
-  check_cancelled();
-  const std::uint64_t key = setting.hash();
-  Probe probe = probe_one(key, setting, effective_max_attempts());
-  if (probe.needs_time) {
-    CSTUNER_OBS_COUNT("evaluator.measure_runs", costs_.runs_per_eval);
-    // Single-element batch through the same oracle the chunked path uses,
-    // so serial and batched evaluation agree bit for bit.
-    double noise_free_ms = 0.0;
-    const std::span<const space::Setting> one(&setting, 1);
-    const std::span<double> time_out(&noise_free_ms, 1);
-    if (usage_reusable_) {
-      simulator_.profile_times(
-          *inv_, one,
-          std::span<const space::ResourceUsage>(&probe.usage, 1), time_out);
-    } else {
-      simulator_.profile_times(*inv_, one, time_out);
-    }
-    finish_measure(key, noise_free_ms, probe);
-  }
-  return commit_one(key, setting, probe);
+  return evaluate_batch(std::span<const space::Setting>(&setting, 1)).front();
 }
 
 double Evaluator::evaluate(const space::Setting& setting) {
@@ -551,9 +479,8 @@ std::vector<EvalResult> Evaluator::evaluate_batch(
     // Cache probes for the whole chunk, grouped by shard: one lock per
     // shard touched instead of one per slot. A batch never mutates the
     // cache during phase 1, so lookup order within the chunk is
-    // irrelevant; hits become kCached exactly as the per-slot lookup
-    // would have made them. The counting sort keeps the grouping O(chunk)
-    // instead of one sweep per shard.
+    // irrelevant. The counting sort keeps the grouping O(chunk) instead of
+    // one sweep per shard.
     std::array<std::uint8_t, kProbeChunk> chunk_order;
     std::array<std::uint8_t, kCacheShards + 1> shard_start{};
     for (std::size_t i = begin; i < end; ++i) {
@@ -663,8 +590,7 @@ std::vector<EvalResult> Evaluator::evaluate_batch(
   // first-writer-wins can observe (keys in different shards never
   // collide). A losing duplicate — earlier in this batch, or a concurrent
   // batch's insert — converts to kCached carrying the winner's value, so
-  // the commit loop below serves it and charges nothing, exactly as the
-  // per-slot cache step did.
+  // the commit loop below serves it and charges nothing.
   std::vector<std::uint32_t> measured_order;
   measured_order.reserve(n);
   std::array<std::uint32_t, kCacheShards + 1> measured_start{};
@@ -694,23 +620,16 @@ std::vector<EvalResult> Evaluator::evaluate_batch(
     for (std::size_t j = measured_start[s]; j < measured_start[s + 1]; ++j) {
       const std::size_t i = measured_order[j];
       Probe& probe = probes[i];
-      const EvalResult& result = probe.result;
-      const bool cacheable = result.ok() ||
-                             result.status == EvalStatus::kCompileFail ||
-                             result.status == EvalStatus::kCrash;
-      if (cacheable) {
-        const auto [slot, inserted] = shard.map.try_emplace(keys[i], result);
-        if (inserted) {
-          probe.cache_done = true;
-        } else {
+      if (is_cacheable(probe.result)) {
+        const auto [slot, inserted] =
+            shard.map.try_emplace(keys[i], probe.result);
+        if (!inserted) {
           probe.state = Probe::State::kCached;
           probe.result = *slot;
         }
       } else if (const EvalResult* found = shard.map.find(keys[i])) {
         probe.state = Probe::State::kCached;
         probe.result = *found;
-      } else {
-        probe.cache_done = true;
       }
     }
   }
@@ -730,9 +649,8 @@ std::vector<EvalResult> Evaluator::evaluate_batch(
     // (faults, replays, dups, new bests, active checkpoints) drops to the
     // full commit.
     const Probe& probe = probes[i];
-    if (probe.state == Probe::State::kMeasured && probe.cache_done &&
-        checkpoint_ == nullptr && probe.result.ok() &&
-        probe.result.attempts <= 1 && !probe.replayed &&
+    if (probe.state == Probe::State::kMeasured && checkpoint_ == nullptr &&
+        probe.result.ok() && probe.result.attempts <= 1 && !probe.replayed &&
         probe.overhead_ticks == 0 &&
         !(probe.result.time_ms <
           std::bit_cast<double>(best_bits_.load(std::memory_order_acquire)))) {
@@ -741,7 +659,7 @@ std::vector<EvalResult> Evaluator::evaluate_batch(
       results[i] = probe.result;
       continue;
     }
-    results[i] = commit_one(keys[i], settings[i], probes[i], &totals);
+    results[i] = commit_one(keys[i], settings[i], probes[i], totals);
   }
   flush_commit_totals(totals);
 

@@ -76,11 +76,10 @@ class Evaluator {
   Evaluator(const Evaluator&) = delete;
   Evaluator& operator=(const Evaluator&) = delete;
 
-  /// Measures a setting and returns the full outcome (status, time,
+  /// evaluate_batch over the one setting: the full outcome (status, time,
   /// attempts). Charges the virtual clock on first evaluation; repeats are
   /// served from cache (successes and permanent failures) or from the
-  /// quarantine list for free. Thread-safe: concurrent callers racing on
-  /// the same new setting charge the clock exactly once.
+  /// quarantine list for free.
   EvalResult evaluate_result(const space::Setting& setting);
 
   /// Convenience wrapper: evaluate_result().time_or_inf(). Returns infinity
@@ -99,6 +98,10 @@ class Evaluator {
   /// Exception-safe: if a slot throws, every other slot is still probed and
   /// committed (cache, clock, journal) before the lowest-index exception
   /// propagates — in-flight work is drained, not leaked.
+  /// This is the only gate into the engine: every candidate, from every
+  /// tuner, reaches its verdict here. A constraint-invalid setting scores
+  /// infinity and is never measured, cached, charged, journaled or traced,
+  /// so callers need no validity pre-filter of their own.
   std::vector<EvalResult> evaluate_batch(
       std::span<const space::Setting> settings);
 
@@ -260,10 +263,6 @@ class Evaluator {
     /// batch oracle when the space's limits are the defaults the simulator
     /// assumes (usage_reusable_).
     space::ResourceUsage usage;
-    /// The batch commit pre-pass already ran this slot's cache step (under
-    /// a shard lock held once for the whole batch); commit_one must not
-    /// repeat it.
-    bool cache_done = false;
   };
 
   /// Batch-local aggregation of the clean-success commit charges. Clock
@@ -280,14 +279,17 @@ class Evaluator {
     // The low bits feed the flat table's probe already; shard on high ones.
     return (key >> 56) & (kCacheShards - 1);
   }
-  Shard& shard_for(std::uint64_t key) { return shards_[shard_index(key)]; }
   /// Throws CancelledError/DeadlineError at the evaluation entry points;
   /// mutates nothing.
   void check_cancelled() const;
-  bool cache_lookup(std::uint64_t key, EvalResult& value_out);
+  /// Successes and permanent failures are cached; transient-class
+  /// failures are retried on a later evaluation instead.
+  static bool is_cacheable(const EvalResult& result) {
+    return result.ok() || result.status == EvalStatus::kCompileFail ||
+           result.status == EvalStatus::kCrash;
+  }
   /// Bumps the per-shard and total cache-hit counters (no-op when the
-  /// observability layer is compiled out). Shared by the per-slot lookup
-  /// and the shard-grouped batch lookup.
+  /// observability layer is compiled out).
   static void count_cache_hits(std::size_t shard_idx, std::uint64_t hits);
   /// Debug-mode static analysis of the kernel for `setting`; throws
   /// ConstraintError when the analyzer reports an error-severity diagnostic.
@@ -306,23 +308,20 @@ class Evaluator {
   /// the caller fills the time from the batch oracle) or attempts run out.
   /// Pure — safe to run in the parallel phase.
   Probe run_attempt_ladder(std::uint64_t key, int max_attempts) const;
-  /// Pure phase-1 work for one setting: cache probe, quarantine probe,
+  /// Pure phase-1 work for one setting whose cache probe missed (the batch
+  /// resolves the cache under a shard-grouped lock): quarantine probe,
   /// validity, replay lookup, then the attempt ladder.
-  Probe probe_one(std::uint64_t key, const space::Setting& setting,
-                  int max_attempts);
-  /// probe_one minus the cache step, for callers (the batch probe phase)
-  /// that already resolved the cache under a shard-grouped lock.
   Probe probe_uncached(std::uint64_t key, const space::Setting& setting,
                        int max_attempts);
-  /// Phase-2 commit for one probed setting: first-writer-wins cache insert,
+  /// Phase-2 commit for one probed setting whose cache step has run:
   /// quarantine accounting (charges capped at the quarantine threshold per
   /// key, so clock totals are commit-order independent), clock charge,
   /// best/trace update, journal append. Runs in input order within a batch.
-  /// With `totals`, the clean-success clock/counter charges accumulate
-  /// there instead of hitting the shared atomics per eval; any path that
-  /// reads the shared state (trace/best updates) flushes first.
+  /// The clean-success clock/counter charges accumulate in `totals`
+  /// instead of hitting the shared atomics per eval; any path that reads
+  /// the shared state (trace/best updates) flushes first.
   EvalResult commit_one(std::uint64_t key, const space::Setting& setting,
-                        const Probe& probe, CommitTotals* totals = nullptr);
+                        const Probe& probe, CommitTotals& totals);
   /// Adds the accumulated totals to the shared clock/counters and resets
   /// them.
   void flush_commit_totals(CommitTotals& totals);
@@ -374,7 +373,7 @@ class Evaluator {
   std::unordered_map<std::uint64_t, int> fail_counts_;
   std::unordered_set<std::uint64_t> quarantine_;
   /// quarantine_.size(), readable without the fault mutex. Zero (the
-  /// fault-free steady state) lets probe_one skip the quarantine lock
+  /// fault-free steady state) lets probe_uncached skip the quarantine lock
   /// entirely; written only while holding fault_mutex_.
   std::atomic<std::size_t> quarantine_count_{0};
 

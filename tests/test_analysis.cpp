@@ -1,6 +1,6 @@
 // Tests for the static analyzer (ISSUE 2): clean bills of health on every
 // seed stencil, seeded mutation tests proving each pass catches the defect
-// class it exists for, search-space lint, and the tuner-side pruner.
+// class it exists for, search-space lint, and the evaluator's debug precheck.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 
 #include "analysis/analyzer.hpp"
 #include "analysis/kernel_model.hpp"
-#include "analysis/pruner.hpp"
 #include "analysis/space_lint.hpp"
 #include "codegen/cuda_codegen.hpp"
 #include "common/error.hpp"
@@ -220,43 +219,6 @@ TEST(SpaceLint, RegisterBoundStencilHasDeadMergeFactors) {
       << result.report.to_string();
   EXPECT_FALSE(result.value_is_live(space::kCMx, 64, space));
   EXPECT_TRUE(result.value_is_live(space::kCMx, 1, space));
-}
-
-// --- Tuner-side static pruning. -------------------------------------------
-
-TEST(StaticPruner, MemoizesByCanonicalHash) {
-  const auto spec = stencil::make_stencil("j3d7pt");
-  space::SearchSpace space(spec);
-  StaticPruner pruner(space);
-  Setting valid;  // all ones
-  EXPECT_TRUE(pruner.is_valid(valid));
-  EXPECT_TRUE(pruner.is_valid(valid));
-  // Streaming-off aliases collapse to the same canonical encoding, so the
-  // second query must be a memo hit even though the raw settings differ.
-  Setting alias = valid;
-  alias.set(space::kSD, 3);
-  EXPECT_TRUE(pruner.is_valid(alias));
-  const auto stats = pruner.stats();
-  EXPECT_EQ(stats.checked, 3u);
-  EXPECT_EQ(stats.memo_hits, 2u);
-  EXPECT_EQ(stats.pruned, 0u);
-}
-
-TEST(StaticPruner, FilterAndPruneDropInvalidSettings) {
-  const auto spec = stencil::make_stencil("j3d7pt");
-  space::SearchSpace space(spec);
-  StaticPruner pruner(space);
-  Setting invalid;
-  invalid.set(space::kUFx, 8);  // exceeds merged trip count 1
-  std::vector<Setting> batch{Setting{}, invalid, Setting{}};
-  const auto keep = pruner.filter(batch);
-  ASSERT_EQ(keep.size(), 3u);
-  EXPECT_TRUE(keep[0]);
-  EXPECT_FALSE(keep[1]);
-  EXPECT_TRUE(keep[2]);
-  EXPECT_EQ(pruner.prune(batch), 1u);
-  EXPECT_EQ(batch.size(), 2u);
-  EXPECT_GT(pruner.stats().pruned, 0u);
 }
 
 // --- Evaluator debug precheck. --------------------------------------------

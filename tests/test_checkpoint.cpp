@@ -217,11 +217,18 @@ TEST(Checkpoint, SnapshotNamesItsOptimizerAndIgnoresLegacyState) {
   const std::string dir = fresh_dir("optimizer_name");
   {
     Checkpoint cp(dir);
-    cp.write_snapshot("{}");  // no optimizer record: a csTuner run
+    cp.write_snapshot("{}");  // no tuner record: an older csTuner run
   }
   Checkpoint unnamed(dir);
   unnamed.load();
   EXPECT_EQ(unnamed.loaded_optimizer_name(), "");
+  // An unnamed snapshot resumes under any tuner, and from then on names it.
+  EXPECT_NO_THROW(unnamed.bind_tuner("anneal"));
+  unnamed.write_snapshot("{}");
+  Checkpoint claimed(dir);
+  claimed.load();
+  EXPECT_EQ(claimed.loaded_optimizer_name(), "anneal");
+  EXPECT_THROW(claimed.bind_tuner("csTuner"), UsageError);
 
   {
     // Older builds also stored the optimizer's walkers/populations; only

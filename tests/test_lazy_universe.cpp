@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "analysis/propagate.hpp"
-#include "analysis/pruner.hpp"
 #include "analysis/space_lint.hpp"
 #include "common/json.hpp"
 #include "common/thread_pool.hpp"
@@ -323,29 +322,6 @@ TEST(SettingDedup, SampleUniverseHasNoDuplicates) {
   std::set<std::array<std::int64_t, kParamCount>> unique;
   for (const auto& s : universe) unique.insert(key_of(s));
   EXPECT_EQ(unique.size(), universe.size());
-}
-
-// -- StaticPruner over propagated domains -----------------------------------
-
-TEST(StaticPruner, DomainsRejectProvenDeadSettingsBeforeFullCheck) {
-  SearchSpace space(stencil::make_stencil("hypterm"));
-  analysis::StaticPruner pruner(space);
-  analysis::PropagateOptions options;
-  options.compute_counts = false;
-  pruner.set_domains(std::make_shared<analysis::PropagationResult>(
-      analysis::propagate(space, options)));
-
-  Rng rng(11);
-  Setting doomed = space.random_valid(rng);
-  doomed.set(kCMx, 64);  // proven dead (register spill) in every region
-  EXPECT_FALSE(pruner.is_valid(doomed));
-  EXPECT_GE(pruner.stats().domain_pruned, 1u);
-
-  // Agreement with the ground-truth checker on a random mix.
-  for (int i = 0; i < 200; ++i) {
-    const Setting s = space.random_setting(rng);
-    EXPECT_EQ(pruner.is_valid(s), space.is_valid(s));
-  }
 }
 
 // -- Lint verdict tiers -----------------------------------------------------

@@ -28,6 +28,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "core/cs_tuner.hpp"
 #include "gpusim/simulator.hpp"
 #include "search/meta_tuner.hpp"
 #include "search/optimizer.hpp"
@@ -399,6 +400,44 @@ TEST_F(ZooFixture, ResumeByADifferentOptimizerIsRefused) {
   const std::string ga_dir = fresh_dir("resume_alias");
   run_tune("opentuner-ga", 7, 2.0, 0.0, ga_dir);
   EXPECT_NO_THROW(run_tune("opentuner", 7, 5.0, 0.0, ga_dir, true));
+
+  // csTuner names its checkpoints too, so the refusal covers both
+  // directions between csTuner and the zoo.
+  const std::string cs_dir = fresh_dir("resume_cstuner");
+  {
+    tuner::Checkpoint checkpoint(cs_dir);
+    tuner::Evaluator evaluator(sim_, space_, {}, 7);
+    evaluator.set_checkpoint(&checkpoint);
+    core::CsTunerOptions options;
+    options.dataset_size = 32;
+    options.universe_size = 500;
+    options.seed = 7;
+    core::CsTuner cs(options);
+    cs.tune(evaluator, {.max_virtual_seconds = 2.0});
+    checkpoint.flush();
+    checkpoint.write_snapshot(evaluator.serialize_state());
+  }
+  {
+    tuner::Checkpoint written(cs_dir);
+    written.load();
+    EXPECT_EQ(written.loaded_optimizer_name(), "csTuner");
+  }
+  try {
+    run_tune("anneal", 7, 5.0, 0.0, cs_dir, /*resume=*/true);
+    FAIL() << "a csTuner checkpoint resumed under anneal";
+  } catch (const UsageError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'csTuner'"), std::string::npos) << what;
+    EXPECT_NE(what.find("'anneal'"), std::string::npos) << what;
+  }
+  try {
+    run_tune("csTuner", 7, 5.0, 0.0, dir, /*resume=*/true);
+    FAIL() << "an anneal checkpoint resumed under csTuner";
+  } catch (const UsageError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'anneal'"), std::string::npos) << what;
+    EXPECT_NE(what.find("'csTuner'"), std::string::npos) << what;
+  }
 }
 
 // --- Driver ---------------------------------------------------------------

@@ -1,10 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "common/error.hpp"
 #include "gpusim/simulator.hpp"
 #include "stencil/stencils.hpp"
+#include "tuner/checkpoint.hpp"
 #include "tuner/dataset.hpp"
 #include "tuner/evaluator.hpp"
 
@@ -61,6 +69,110 @@ TEST_F(EvaluatorTest, InvalidSettingIsInfiniteAndUncharged) {
   EXPECT_TRUE(std::isinf(evaluator_.evaluate(bad)));
   EXPECT_DOUBLE_EQ(evaluator_.virtual_time_s(), 0.0);
   EXPECT_EQ(evaluator_.unique_evaluations(), 0u);
+  // The single-setting entry point is a one-setting batch.
+  const EvalResult one = evaluator_.evaluate_result(bad);
+  const EvalResult batched = evaluator_.evaluate_batch({&bad, 1}).front();
+  EXPECT_EQ(one.status, EvalStatus::kInvalid);
+  EXPECT_EQ(batched.status, one.status);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(batched.time_ms),
+            std::bit_cast<std::uint64_t>(one.time_ms));
+  EXPECT_EQ(batched.attempts, one.attempts);
+  EXPECT_DOUBLE_EQ(evaluator_.virtual_time_s(), 0.0);
+
+  // The Evaluator is the only validity gate, so tuners hand it invalid
+  // candidates unfiltered. Interleaving them into batches must leave every
+  // observable exactly as the batches without them would: clock, unique
+  // evaluations, fault statistics, quarantine, trace and journal.
+  Rng rng(17);
+  std::vector<Setting> valid;
+  for (int i = 0; i < 48; ++i) valid.push_back(space_.random_valid(rng));
+  std::vector<Setting> mixed;
+  for (const Setting& s : valid) {
+    mixed.push_back(s);
+    Setting raw = space_.random_setting(rng);
+    while (space_.is_valid(raw)) raw = space_.random_setting(rng);
+    mixed.push_back(raw);
+    if (mixed.size() % 5 == 0) mixed.push_back(bad);
+  }
+  struct Observed {
+    std::uint64_t clock_bits = 0;
+    std::size_t unique = 0;
+    std::string state;  // fault stats, quarantine, counters, best bits
+    std::uint64_t overhead_bits = 0;
+    std::vector<std::uint64_t> quarantined;
+    std::vector<std::tuple<std::size_t, std::size_t, std::uint64_t,
+                           std::uint64_t>>
+        points;
+    std::vector<std::tuple<std::uint64_t, EvalStatus, std::uint8_t>> events;
+    std::string journal;
+    std::vector<double> valid_times;
+  };
+  const auto run = [&](const std::vector<Setting>& batch, double fault_rate,
+                       const std::string& dir) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    Observed out;
+    {
+      Checkpoint checkpoint(dir);
+      Evaluator evaluator(sim_, space_, {}, 5);
+      if (fault_rate > 0.0) {
+        evaluator.set_fault_injection(
+            gpusim::FaultConfig::uniform(fault_rate, 5), spec_.name);
+      }
+      evaluator.set_checkpoint(&checkpoint);
+      // Repeat the batch so transient failures reach the quarantine.
+      for (int round = 0; round < 4; ++round) {
+        const auto results = evaluator.evaluate_batch(batch);
+        out.valid_times.clear();
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+          if (space_.is_valid(batch[i])) {
+            out.valid_times.push_back(results[i].time_or_inf());
+          } else {
+            EXPECT_EQ(results[i].status, EvalStatus::kInvalid);
+          }
+        }
+        evaluator.mark_iteration();
+      }
+      checkpoint.flush();
+      out.clock_bits = std::bit_cast<std::uint64_t>(evaluator.virtual_time_s());
+      out.unique = evaluator.unique_evaluations();
+      out.state = evaluator.serialize_state();
+      out.overhead_bits = std::bit_cast<std::uint64_t>(
+          evaluator.fault_stats().fault_overhead_s);
+      out.quarantined = evaluator.quarantined_keys();
+      for (const auto& p : evaluator.trace().points) {
+        out.points.emplace_back(p.iteration, p.evaluations,
+                                std::bit_cast<std::uint64_t>(p.virtual_time_s),
+                                std::bit_cast<std::uint64_t>(p.best_time_ms));
+      }
+      for (const auto& e : evaluator.trace().events) {
+        out.events.emplace_back(e.setting_key, e.status, e.attempts);
+      }
+    }
+    std::ifstream journal(dir + "/journal.jsonl", std::ios::binary);
+    out.journal.assign(std::istreambuf_iterator<char>(journal), {});
+    return out;
+  };
+  for (const double fault_rate : {0.0, 0.2}) {
+    SCOPED_TRACE("fault rate " + std::to_string(fault_rate));
+    const std::string root = ::testing::TempDir() + "cstuner_invalid_gate_";
+    const Observed clean = run(valid, fault_rate, root + "valid");
+    const Observed with_invalid = run(mixed, fault_rate, root + "mixed");
+    EXPECT_GT(clean.unique, 0u);
+    EXPECT_FALSE(clean.journal.empty());
+    if (fault_rate > 0.0) {
+      EXPECT_FALSE(clean.quarantined.empty());
+    }
+    EXPECT_EQ(with_invalid.clock_bits, clean.clock_bits);
+    EXPECT_EQ(with_invalid.unique, clean.unique);
+    EXPECT_EQ(with_invalid.state, clean.state);
+    EXPECT_EQ(with_invalid.overhead_bits, clean.overhead_bits);
+    EXPECT_EQ(with_invalid.quarantined, clean.quarantined);
+    EXPECT_EQ(with_invalid.points, clean.points);
+    EXPECT_EQ(with_invalid.events, clean.events);
+    EXPECT_EQ(with_invalid.journal, clean.journal);
+    EXPECT_EQ(with_invalid.valid_times, clean.valid_times);
+  }
 }
 
 TEST_F(EvaluatorTest, BestTracksMinimum) {
