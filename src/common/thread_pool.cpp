@@ -20,15 +20,24 @@ struct ThreadPool::Job {
   std::exception_ptr error;  // first failure, guarded by mutex
 };
 
-void ThreadPool::run_job(Job& job) {
-  for (;;) {
-    const std::size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= job.n) return;
+void ThreadPool::run_job(Job& job, std::atomic<std::size_t>* inflight) {
+  std::size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
+  if (i >= job.n && inflight != nullptr) {
+    inflight->fetch_sub(1, std::memory_order_relaxed);
+  }
+  while (i < job.n) {
     try {
       (*job.body)(i);
     } catch (...) {
       std::lock_guard<std::mutex> lock(job.mutex);
       if (!job.error) job.error = std::current_exception();
+    }
+    const std::size_t next = job.next.fetch_add(1, std::memory_order_relaxed);
+    // A helper leaves the inflight count before it reports its last index
+    // done: the owner returns once every index is done, and must not see
+    // the helper still counted then.
+    if (next >= job.n && inflight != nullptr) {
+      inflight->fetch_sub(1, std::memory_order_relaxed);
     }
     // acq_rel: the final increment's reader (the waiting owner) must see
     // every body's writes, not just the last one's.
@@ -36,6 +45,7 @@ void ThreadPool::run_job(Job& job) {
       std::lock_guard<std::mutex> lock(job.mutex);
       job.cv.notify_all();
     }
+    i = next;
   }
 }
 
@@ -70,8 +80,7 @@ void ThreadPool::worker_loop() {
     while (now > peak && !peak_inflight_.compare_exchange_weak(
                              peak, now, std::memory_order_relaxed)) {
     }
-    task();
-    inflight_.fetch_sub(1, std::memory_order_relaxed);
+    task();  // leaves inflight_ itself, before its completion is visible
   }
 }
 
@@ -99,15 +108,33 @@ void ThreadPool::note_queue_depth_locked() {
 }
 
 std::future<void> ThreadPool::submit(std::function<void()> task) {
-  auto packaged = std::make_shared<std::packaged_task<void()>>(std::move(task));
-  auto future = packaged->get_future();
   if (threads_.empty()) {
-    (*packaged)();  // no workers: run inline, future still carries the result
+    // No workers: run inline, the future still carries the result.
+    std::packaged_task<void()> inline_task(std::move(task));
+    auto future = inline_task.get_future();
+    inline_task();
     return future;
   }
+  auto promise = std::make_shared<std::promise<void>>();
+  auto future = promise->get_future();
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
-    queue_.push_back([packaged] { (*packaged)(); });
+    queue_.push_back([this, promise, task = std::move(task)] {
+      std::exception_ptr error;
+      try {
+        task();
+      } catch (...) {
+        error = std::current_exception();
+      }
+      // Leave the inflight count before the future becomes ready: a caller
+      // that has waited on every future must read inflight() == 0.
+      inflight_.fetch_sub(1, std::memory_order_relaxed);
+      if (error) {
+        promise->set_exception(error);
+      } else {
+        promise->set_value();
+      }
+    });
     note_queue_depth_locked();
   }
   queue_cv_.notify_one();
@@ -132,13 +159,13 @@ void ThreadPool::parallel_for(std::size_t n,
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     for (std::size_t i = 0; i < helpers; ++i) {
-      queue_.push_back([job] { run_job(*job); });
+      queue_.push_back([this, job] { run_job(*job, &inflight_); });
     }
     note_queue_depth_locked();
   }
   queue_cv_.notify_all();
 
-  run_job(*job);
+  run_job(*job, nullptr);
   std::unique_lock<std::mutex> lock(job->mutex);
   job->cv.wait(lock, [&] {
     return job->done.load(std::memory_order_acquire) >= job->n;

@@ -59,7 +59,10 @@ class ThreadPool {
   std::size_t queue_depth() const;
 
   /// Tasks currently executing on pool workers. Caller participation in
-  /// parallel_for is not counted (the caller is not a pool resource).
+  /// parallel_for is not counted (the caller is not a pool resource). A
+  /// task leaves the count before its completion becomes visible (its
+  /// future is ready, or parallel_for returns), so a caller that has seen
+  /// every task complete reads 0.
   std::size_t inflight() const {
     return inflight_.load(std::memory_order_relaxed);
   }
@@ -81,7 +84,10 @@ class ThreadPool {
  private:
   struct Job;
 
-  static void run_job(Job& job);
+  /// Claims and runs indices of `job` until none are left. A pool worker
+  /// passes its inflight counter, which run_job decrements before the
+  /// worker's last index is reported done; the owner passes nullptr.
+  static void run_job(Job& job, std::atomic<std::size_t>* inflight);
   void worker_loop();
   /// Records the current queue size into the high-water mark; call with
   /// queue_mutex_ held after pushing.

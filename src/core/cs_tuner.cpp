@@ -122,7 +122,7 @@ void CsTuner::tune(tuner::Evaluator& evaluator,
   // --- Pre-processing 1: parameter grouping (§IV-C). ----------------------
   t0 = Clock::now();
   {
-    CSTUNER_TRACE_PHASE("cstuner.grouping");
+    CSTUNER_TRACE_PHASE("core.grouping");
     switch (options_.grouping_mode) {
       case GroupingMode::kStatistical:
         report_.groups = group_parameters(space, dataset);
@@ -151,7 +151,7 @@ void CsTuner::tune(tuner::Evaluator& evaluator,
   t0 = Clock::now();
   SampledSpace sampled;
   {
-    CSTUNER_TRACE_PHASE("cstuner.sampling");
+    CSTUNER_TRACE_PHASE("core.pmnf_sampling");
     if (options_.sampling_mode == SamplingMode::kPmnf) {
       sampled = sample_search_space(space, dataset, report_.groups, universe,
                                     options_.sampling,
@@ -183,7 +183,10 @@ void CsTuner::tune(tuner::Evaluator& evaluator,
     report_.codegen_s = seconds_since(t0);
   }
 
-  // --- Re-indexing of group value tuples (Fig. 7). -------------------------
+  // --- Search: re-indexing, group passes and polish, to the end of tune. ---
+  CSTUNER_TRACE_PHASE("core.search");
+
+  // Re-indexing of group value tuples (Fig. 7).
   auto indices = build_group_indices(report_.groups, sampled.settings);
 
   // Base setting: the optimum of the performance dataset (§IV-C). Measure

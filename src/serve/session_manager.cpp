@@ -8,6 +8,10 @@
 #include <iostream>
 #include <limits>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "analysis/analyzer.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -106,6 +110,15 @@ SessionManager::SessionManager(ServeOptions options)
                                       : std::string(),
                   vfs_),
       admission_(options_.admission) {
+#if defined(__GLIBC__)
+  // Each session runs on a fresh dispatch thread, so sessions rotate
+  // through several malloc arenas, and glibc's dynamic thresholds let each
+  // arena keep up to twice the largest block freed so far (a csTuner
+  // session's 1.3 MB candidate universe) as untrimmed free heap. Fixing the
+  // trim threshold at glibc's default returns a freed heap top at once, so
+  // the daemon's footprint follows its live sessions.
+  mallopt(M_TRIM_THRESHOLD, 128 * 1024);
+#endif
   vfs_->mkdirs(sessions_dir());
   std::lock_guard<std::mutex> lock(mutex_);
   recover_locked();

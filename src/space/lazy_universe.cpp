@@ -1,12 +1,15 @@
 #include "space/lazy_universe.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <sstream>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/math_util.hpp"
 #include "common/rng.hpp"
+#include "obs/obs.hpp"
 
 namespace cstuner::space {
 
@@ -35,99 +38,57 @@ std::vector<std::int64_t> masked_values(const Parameter& param,
   return out;
 }
 
+/// Index of the lowest set bit of a nonzero value mask.
+std::size_t lowest_bit(std::uint64_t bits) {
+  return static_cast<std::size_t>(std::countr_zero(bits));
+}
+
 std::int64_t grid_extent(const stencil::StencilSpec& spec, int dim) {
   return static_cast<std::int64_t>(spec.grid[static_cast<std::size_t>(dim)]);
 }
 
-/// Polynomial over the total unroll exponent: c[e] = number of parameter
-/// combinations whose unroll factors multiply to 2^e.
-struct UePoly {
+/// Counts over power-of-two exponents in one flat buffer: at(me, ue) is the
+/// number of parameter combinations whose merge factors multiply to 2^me
+/// and whose unroll factors multiply to 2^ue. reset() keeps the buffer's
+/// capacity, so a counter that rebuilds its tables many times allocates
+/// only on first use.
+struct ExpTable {
+  std::size_t rows = 0;   ///< merge exponents 0..rows-1
+  std::size_t width = 0;  ///< unroll exponents 0..width-1
   std::vector<std::uint64_t> c;
 
-  void bump(std::size_t exponent, std::uint64_t by) {
-    if (c.size() <= exponent) c.resize(exponent + 1, 0);
-    c[exponent] += by;
+  void reset(std::size_t r, std::size_t w) {
+    rows = r;
+    width = w;
+    c.assign(r * w, 0);
   }
-  UePoly times(const UePoly& other) const {
-    UePoly out;
-    if (c.empty() || other.c.empty()) return out;
-    out.c.assign(c.size() + other.c.size() - 1, 0);
-    for (std::size_t i = 0; i < c.size(); ++i) {
-      if (c[i] == 0) continue;
-      for (std::size_t j = 0; j < other.c.size(); ++j) {
-        out.c[i + j] += c[i] * other.c[j];
-      }
-    }
-    return out;
+  std::uint64_t& at(std::size_t me, std::size_t ue) {
+    return c[me * width + ue];
   }
-  std::uint64_t sum_up_to(int max_exponent) const {
-    if (max_exponent < 0) return 0;
-    std::uint64_t total = 0;
-    const std::size_t hi =
-        std::min(c.size(), static_cast<std::size_t>(max_exponent) + 1);
-    for (std::size_t e = 0; e < hi; ++e) total += c[e];
-    return total;
+  const std::uint64_t* row(std::size_t me) const {
+    return c.data() + me * width;
   }
-  int max_exponent() const { return static_cast<int>(c.size()) - 1; }
+  bool row_zero(std::size_t me) const {
+    return std::all_of(row(me), row(me) + width,
+                       [](std::uint64_t v) { return v == 0; });
+  }
 };
 
-/// One admissible per-dimension merge exponent: CM*BM = 2^me, with the
-/// shared-memory tile extent that exponent implies and the distribution of
-/// unroll exponents available under it.
-struct MeEntry {
-  int me = 0;
-  std::int64_t ext = 0;  ///< TB*2^me + 2*order (rule-9 tile extent)
-  UePoly ue;
-};
-
-struct DimTable {
-  std::vector<MeEntry> entries;  ///< sorted by me ascending
-};
-
-/// Joint distribution over (total merge exponent, total unroll exponent).
-struct MeUeTable {
-  /// c[me][ue]; empty outer vector = zero function.
-  std::vector<std::vector<std::uint64_t>> c;
-
-  static MeUeTable unit() {
-    MeUeTable t;
-    t.c.assign(1, std::vector<std::uint64_t>{1});
-    return t;
-  }
-  MeUeTable times(const MeUeTable& other) const {
-    MeUeTable out;
-    if (c.empty() || other.c.empty()) return out;
-    std::size_t ue_a = 0;
-    std::size_t ue_b = 0;
-    for (const auto& row : c) ue_a = std::max(ue_a, row.size());
-    for (const auto& row : other.c) ue_b = std::max(ue_b, row.size());
-    if (ue_a == 0 || ue_b == 0) return out;
-    out.c.assign(c.size() + other.c.size() - 1,
-                 std::vector<std::uint64_t>(ue_a + ue_b - 1, 0));
-    for (std::size_t ma = 0; ma < c.size(); ++ma) {
-      for (std::size_t ua = 0; ua < c[ma].size(); ++ua) {
-        const std::uint64_t v = c[ma][ua];
-        if (v == 0) continue;
-        for (std::size_t mb = 0; mb < other.c.size(); ++mb) {
-          for (std::size_t ub = 0; ub < other.c[mb].size(); ++ub) {
-            out.c[ma + mb][ua + ub] += v * other.c[mb][ub];
-          }
+/// out = a * b, convolving both exponents.
+void multiply(const ExpTable& a, const ExpTable& b, ExpTable& out) {
+  out.reset(a.rows + b.rows - 1, a.width + b.width - 1);
+  for (std::size_t ma = 0; ma < a.rows; ++ma) {
+    for (std::size_t ua = 0; ua < a.width; ++ua) {
+      const std::uint64_t v = a.c[ma * a.width + ua];
+      if (v == 0) continue;
+      for (std::size_t mb = 0; mb < b.rows; ++mb) {
+        const std::uint64_t* row = b.row(mb);
+        for (std::size_t ub = 0; ub < b.width; ++ub) {
+          out.at(ma + mb, ua + ub) += v * row[ub];
         }
       }
     }
-    return out;
   }
-};
-
-MeUeTable table_of_dim(const DimTable& dim) {
-  MeUeTable t;
-  int max_me = 0;
-  for (const MeEntry& e : dim.entries) max_me = std::max(max_me, e.me);
-  t.c.assign(static_cast<std::size_t>(max_me) + 1, {});
-  for (const MeEntry& e : dim.entries) {
-    t.c[static_cast<std::size_t>(e.me)] = e.ue.c;
-  }
-  return t;
 }
 
 /// The context one count_block call works in: pinned flags, thread-block
@@ -190,80 +151,83 @@ BlockContext make_context(const SearchSpace& space, const EnumRegion& region,
   return ctx;
 }
 
-/// Builds the (me, ext, unroll distribution) table of one non-streaming
-/// dimension under the region masks, rules 3 and 7 applied exactly.
-DimTable build_dim_table(const BlockContext& ctx, int dim) {
+/// One factor of a block's count. A non-streaming dimension contributes
+/// its (CM, BM, UF) choices, keyed by merge and unroll exponent, with the
+/// rule-9 tile extent tb*2^me + 2*order. The streaming pseudo-dimension
+/// contributes its (UF_sd, SB) choices in a single row: no merge exponent
+/// and no tile extent (its shared-memory planes are folded into ext_cap).
+struct Part {
+  ExpTable t;
+  std::int64_t tb = 0;  ///< 0 for the streaming pseudo-dimension
+  int order = 0;
+  bool empty = true;  ///< no admissible choice under the region masks
+
+  std::int64_t ext(std::size_t me) const {
+    return tb == 0 ? 1 : tb * (std::int64_t{1} << me) + 2 * order;
+  }
+};
+
+std::size_t exponent(std::int64_t pow2) {
+  return static_cast<std::size_t>(ilog2(static_cast<std::uint64_t>(pow2)));
+}
+
+/// Fills `part` with one non-streaming dimension's choices under the region
+/// masks, rules 3 and 7 applied exactly.
+void build_dim_part(const BlockContext& ctx, int dim, Part& part) {
   const SearchSpace& space = *ctx.space;
   const EnumRegion& region = *ctx.region;
   const std::int64_t grid = grid_extent(space.spec(), dim);
-  const int order = space.spec().order;
-  const ParamId cm_id = kCmIds[dim];
-  const ParamId bm_id = kBmIds[dim];
-  const ParamId uf_id = kUfIds[dim];
-  const auto cms =
-      masked_values(space.parameter(cm_id), region.masks[idx(cm_id)]);
-  const auto bms =
-      masked_values(space.parameter(bm_id), region.masks[idx(bm_id)]);
-  const auto ufs =
-      masked_values(space.parameter(uf_id), region.masks[idx(uf_id)]);
-
-  std::vector<UePoly> by_me;
-  for (const std::int64_t cm : cms) {
-    for (const std::int64_t bm : bms) {
-      const std::int64_t prod = cm * bm;
-      if (ctx.tb[static_cast<std::size_t>(dim)] * prod > grid) continue;
-      const auto me =
-          static_cast<std::size_t>(ilog2(static_cast<std::uint64_t>(prod)));
-      if (by_me.size() <= me) by_me.resize(me + 1);
-      for (const std::int64_t uf : ufs) {
+  const auto& cms = space.parameter(kCmIds[dim]).values;
+  const auto& bms = space.parameter(kBmIds[dim]).values;
+  const auto& ufs = space.parameter(kUfIds[dim]).values;
+  part.tb = ctx.tb[static_cast<std::size_t>(dim)];
+  part.order = space.spec().order;
+  part.t.reset(exponent(cms.back() * bms.back()) + 1, exponent(ufs.back()) + 1);
+  part.empty = true;
+  for (std::uint64_t cm_bits = region.masks[idx(kCmIds[dim])]; cm_bits != 0;
+       cm_bits &= cm_bits - 1) {
+    const std::int64_t cm = cms[lowest_bit(cm_bits)];
+    for (std::uint64_t bm_bits = region.masks[idx(kBmIds[dim])];
+         bm_bits != 0; bm_bits &= bm_bits - 1) {
+      const std::int64_t prod = cm * bms[lowest_bit(bm_bits)];
+      if (part.tb * prod > grid) break;  // values ascending
+      for (std::uint64_t uf_bits = region.masks[idx(kUfIds[dim])];
+           uf_bits != 0; uf_bits &= uf_bits - 1) {
+        const std::int64_t uf = ufs[lowest_bit(uf_bits)];
         if (uf > prod) break;  // values ascending
-        by_me[me].bump(
-            static_cast<std::size_t>(ilog2(static_cast<std::uint64_t>(uf))),
-            1);
+        ++part.t.at(exponent(prod), exponent(uf));
+        part.empty = false;
       }
     }
   }
-  DimTable table;
-  for (std::size_t me = 0; me < by_me.size(); ++me) {
-    if (by_me[me].c.empty()) continue;
-    MeEntry entry;
-    entry.me = static_cast<int>(me);
-    entry.ext = ctx.tb[static_cast<std::size_t>(dim)] *
-                    (std::int64_t{1} << me) +
-                2 * order;
-    entry.ue = std::move(by_me[me]);
-    table.entries.push_back(std::move(entry));
-  }
-  return table;
 }
 
-/// Unroll distribution of the streaming pseudo-dimension: every admissible
-/// (UF_sd, SB) pair under rules 5 and 6, keyed by the UF_sd exponent. The
-/// streaming dimension contributes no tile extent (its shared-memory planes
-/// are folded into ext_cap) and no merge exponent.
-UePoly build_streaming_poly(const BlockContext& ctx) {
+/// Fills `part` with the streaming pseudo-dimension: every admissible
+/// (UF_sd, SB) pair under rules 5 and 6, keyed by the UF_sd exponent.
+void build_pseudo_part(const BlockContext& ctx, Part& part) {
   const SearchSpace& space = *ctx.space;
   const EnumRegion& region = *ctx.region;
   const std::int64_t sgrid = grid_extent(space.spec(), region.sd);
-  const ParamId uf_id = kUfIds[region.sd];
-  const auto ufs =
-      masked_values(space.parameter(uf_id), region.masks[idx(uf_id)]);
-  const auto sbs =
-      masked_values(space.parameter(kSB), region.masks[idx(kSB)]);
-  UePoly poly;
-  for (const std::int64_t uf : ufs) {
+  const auto& ufs = space.parameter(kUfIds[region.sd]).values;
+  const auto& sbs = space.parameter(kSB).values;
+  part.tb = 0;
+  part.t.reset(1, exponent(ufs.back()) + 1);
+  part.empty = true;
+  for (std::uint64_t uf_bits = region.masks[idx(kUfIds[region.sd])];
+       uf_bits != 0; uf_bits &= uf_bits - 1) {
+    const std::int64_t uf = ufs[lowest_bit(uf_bits)];
     std::uint64_t supports = 0;
-    for (const std::int64_t sb : sbs) {
+    for (std::uint64_t sb_bits = region.masks[idx(kSB)]; sb_bits != 0;
+         sb_bits &= sb_bits - 1) {
+      const std::int64_t sb = sbs[lowest_bit(sb_bits)];
       if (sb > sgrid) break;  // ascending; rule 5
       if (sb >= uf) ++supports;  // rule 6
     }
     if (supports > 0) {
-      poly.bump(
-          static_cast<std::size_t>(ilog2(static_cast<std::uint64_t>(uf))),
-          supports);
+      part.t.at(0, exponent(uf)) = supports;
+      part.empty = false;
     }
   }
-  return poly;
 }
 
 /// Largest admissible total unroll exponent per total merge exponent
@@ -281,66 +245,199 @@ std::vector<int> build_max_ue(const BlockContext& ctx, int me_max,
   return max_ue;
 }
 
-/// Shared-memory-free count: rule 9 never binds, so the per-dimension
-/// tables collapse into one joint (me, ue) distribution and the register
-/// frontier is summed over it.
-std::uint64_t count_without_smem(const std::vector<DimTable>& dims,
-                                 const UePoly& pseudo,
-                                 const std::vector<int>& max_ue) {
-  MeUeTable joint = MeUeTable::unit();
-  for (const DimTable& dim : dims) joint = joint.times(table_of_dim(dim));
-  {
-    MeUeTable p;
-    p.c.assign(1, pseudo.c);
-    joint = joint.times(p);
-  }
-  std::uint64_t total = 0;
-  for (std::size_t me = 0; me < joint.c.size(); ++me) {
-    if (me >= max_ue.size()) break;
-    const int cap = max_ue[me];
-    if (cap < 0) continue;
-    const auto& row = joint.c[me];
-    const std::size_t hi =
-        std::min(row.size(), static_cast<std::size_t>(cap) + 1);
-    for (std::size_t ue = 0; ue < hi; ++ue) total += row[ue];
-  }
-  return total;
-}
+/// count_block's dynamic program for one block, with the mask-independent
+/// work done once: the context and the register frontier read only the
+/// pinned flags and the thread-block shape.
+///
+/// A count combines one focus part with frames, the joint distribution of
+/// all other parts. narrow() rebuilds only the part the parameter feeds and
+/// makes it the focus, so an unrank's successive counts on one parameter
+/// reuse the frames and cost one part plus the combine. Every table lives
+/// in a buffer the counter reuses, so counting allocates only while the
+/// buffers first grow.
+///
+/// The frontier is built over the block's full masks and stays exact under
+/// narrowing: narrowing only zeroes table cells, and the combine never
+/// reads the frontier beyond the exponents its tables still hold.
+class BlockCounter {
+ public:
+  BlockCounter(const SearchSpace& space, const EnumRegion& region,
+               const std::array<std::int64_t, 3>& tb)
+      : region_(region), ctx_(make_context(space, region_, tb)) {
+    if (ctx_.threads > space.checker().limits().max_threads_per_block) {
+      return;
+    }
+    for (int d = 0; d < 3; ++d) {
+      if (region_.streaming && d == region_.sd) continue;
+      part_of_dim_[static_cast<std::size_t>(d)] = nparts_;
+      build_dim_part(ctx_, d, parts_[nparts_++]);
+    }
+    if (region_.streaming) build_pseudo_part(ctx_, parts_[nparts_++]);
 
-/// Shared-memory-bound count: walk the per-dimension merge exponents with
-/// the running tile-extent product, pruning as soon as it exceeds ext_cap
-/// (extents grow with me, so the walk breaks early on sorted entries).
-std::uint64_t count_with_smem(const BlockContext& ctx,
-                              const std::vector<DimTable>& dims,
-                              const UePoly& pseudo,
-                              const std::vector<int>& max_ue) {
-  std::uint64_t total = 0;
-  struct Frame {
-    std::int64_t ext_prod = 1;
-    int me_sum = 0;
-    UePoly poly;
-  };
-  Frame root;
-  root.poly = pseudo;
-  const std::function<void(std::size_t, const Frame&)> descend =
-      [&](std::size_t level, const Frame& frame) {
-        if (level == dims.size()) {
-          const auto me = static_cast<std::size_t>(frame.me_sum);
-          if (me < max_ue.size()) total += frame.poly.sum_up_to(max_ue[me]);
-          return;
+    int me_max = 0;
+    int ue_max = 0;
+    for (std::size_t p = 0; p < nparts_; ++p) {
+      const Part& part = parts_[p];
+      if (part.empty) return;
+      std::size_t part_me = 0;
+      std::size_t part_ue = 0;
+      for (std::size_t me = 0; me < part.t.rows; ++me) {
+        for (std::size_t ue = 0; ue < part.t.width; ++ue) {
+          if (part.t.row(me)[ue] == 0) continue;
+          part_me = std::max(part_me, me);
+          part_ue = std::max(part_ue, ue);
         }
-        for (const MeEntry& entry : dims[level].entries) {
-          if (frame.ext_prod > ctx.ext_cap / entry.ext) break;  // rule 9
-          Frame next;
-          next.ext_prod = frame.ext_prod * entry.ext;
-          next.me_sum = frame.me_sum + entry.me;
-          next.poly = frame.poly.times(entry.ue);
-          descend(level + 1, next);
+      }
+      me_max += static_cast<int>(part_me);
+      ue_max += static_cast<int>(part_ue);
+    }
+    max_ue_ = build_max_ue(ctx_, me_max, ue_max);
+    live_ = true;
+  }
+
+  BlockCounter(const BlockCounter&) = delete;
+  BlockCounter& operator=(const BlockCounter&) = delete;
+
+  /// Exact number of valid settings of the block under the current masks.
+  std::uint64_t count() {
+    if (!live_) return 0;
+    for (std::size_t p = 0; p < nparts_; ++p) {
+      if (parts_[p].empty) return 0;
+    }
+    if (frames_for_ != focus_) build_frames();
+    const Part& focus = parts_[focus_];
+    std::uint64_t total = 0;
+    for (std::size_t f = 0; f < frame_me_.size(); ++f) {
+      const std::uint64_t* prefix = &prefix_[f * width_];
+      for (std::size_t me_a = 0; me_a < focus.t.rows; ++me_a) {
+        if (frame_ext_[f] > ctx_.ext_cap / focus.ext(me_a)) break;  // rule 9
+        const std::size_t me = frame_me_[f] + me_a;
+        // The frontier is nonincreasing in me.
+        if (me >= max_ue_.size() || max_ue_[me] < 0) break;
+        const auto cap = static_cast<std::size_t>(max_ue_[me]);
+        const std::uint64_t* row = focus.t.row(me_a);
+        for (std::size_t u = 0; u < focus.t.width && u <= cap; ++u) {
+          if (row[u] == 0) continue;
+          total += row[u] * prefix[std::min(cap - u, width_ - 1)];
         }
-      };
-  descend(0, root);
-  return total;
-}
+      }
+    }
+    return total;
+  }
+
+  /// Restricts free numeric parameter `id` to the values in `mask`, a
+  /// subset of its current mask.
+  void narrow(ParamId id, std::uint64_t mask) {
+    region_.masks[idx(id)] = mask;
+    if (!live_) return;
+    const int d = param_dimension(id);
+    std::size_t part = nparts_ - 1;  // the streaming pseudo-part
+    if (id != kSB && !(region_.streaming && d == region_.sd)) {
+      part = part_of_dim_[static_cast<std::size_t>(d)];
+      build_dim_part(ctx_, d, parts_[part]);
+    } else {
+      build_pseudo_part(ctx_, parts_[part]);
+    }
+    // Frames built around this focus exclude the rebuilt part and stay
+    // valid; count() rebuilds them for any other focus.
+    focus_ = part;
+  }
+
+ private:
+  static constexpr std::size_t kNoFrames = static_cast<std::size_t>(-1);
+
+  /// Frames: one per combination of the non-focus parts' merge exponents
+  /// (per total merge exponent when rule 9 cannot bind), each with the
+  /// product of its tile extents, its total merge exponent, and prefix
+  /// sums over the total unroll exponent (prefix[u] = combinations with
+  /// ue <= u; width_ per frame).
+  void build_frames() {
+    frame_ext_.clear();
+    frame_me_.clear();
+    prefix_.clear();
+    width_ = 1;
+    for (std::size_t p = 0; p < nparts_; ++p) {
+      if (p != focus_) width_ += parts_[p].t.width - 1;
+    }
+    if (!ctx_.shared) {
+      // Rule 9 never binds: the other parts collapse into one joint
+      // (me, ue) table, one frame per total merge exponent.
+      joint_.reset(1, 1);
+      joint_.c[0] = 1;
+      for (std::size_t p = 0; p < nparts_; ++p) {
+        if (p == focus_) continue;
+        multiply(joint_, parts_[p].t, scratch_);
+        std::swap(joint_, scratch_);
+      }
+      for (std::size_t me = 0; me < joint_.rows; ++me) {
+        if (!joint_.row_zero(me)) add_frame(1, me, joint_.row(me), width_);
+      }
+    } else {
+      level_[0].assign(1, 1);
+      descend(0, 0, 1, 0);
+    }
+    frames_for_ = focus_;
+  }
+
+  /// Shared-memory-bound frames: walk the other parts' merge exponents with
+  /// the running tile-extent product, pruning as soon as it exceeds ext_cap
+  /// (extents grow with me, so the walk breaks early). level_[depth] holds
+  /// the unroll distribution of the parts chosen so far.
+  void descend(std::size_t p, std::size_t depth, std::int64_t ext_prod,
+               std::size_t me_sum) {
+    if (p == focus_) ++p;
+    const std::vector<std::uint64_t>& poly = level_[depth];
+    if (p >= nparts_) {
+      add_frame(ext_prod, me_sum, poly.data(), poly.size());
+      return;
+    }
+    const Part& part = parts_[p];
+    std::vector<std::uint64_t>& next = level_[depth + 1];
+    for (std::size_t me = 0; me < part.t.rows; ++me) {
+      if (ext_prod > ctx_.ext_cap / part.ext(me)) break;  // rule 9
+      if (part.t.row_zero(me)) continue;
+      const std::uint64_t* row = part.t.row(me);
+      next.assign(poly.size() + part.t.width - 1, 0);
+      for (std::size_t i = 0; i < poly.size(); ++i) {
+        if (poly[i] == 0) continue;
+        for (std::size_t j = 0; j < part.t.width; ++j) {
+          next[i + j] += poly[i] * row[j];
+        }
+      }
+      descend(p + 1, depth + 1, ext_prod * part.ext(me), me_sum + me);
+    }
+  }
+
+  void add_frame(std::int64_t ext_prod, std::size_t me,
+                 const std::uint64_t* poly, std::size_t n) {
+    frame_ext_.push_back(ext_prod);
+    frame_me_.push_back(me);
+    std::uint64_t running = 0;
+    for (std::size_t u = 0; u < width_; ++u) {
+      if (u < n) running += poly[u];
+      prefix_.push_back(running);
+    }
+  }
+
+  EnumRegion region_;  ///< the block's region with the narrowed masks
+  BlockContext ctx_;   ///< points at region_
+  std::array<Part, 3> parts_;
+  std::size_t nparts_ = 0;
+  std::array<std::size_t, 3> part_of_dim_{};
+  std::vector<int> max_ue_;
+  std::size_t focus_ = 0;
+  /// The focus the frames were built around; kNoFrames before the first.
+  std::size_t frames_for_ = kNoFrames;
+  std::vector<std::int64_t> frame_ext_;
+  std::vector<std::size_t> frame_me_;
+  std::vector<std::uint64_t> prefix_;
+  std::size_t width_ = 1;
+  ExpTable joint_;
+  ExpTable scratch_;
+  std::array<std::vector<std::uint64_t>, 3> level_;
+  /// False when the full block is already empty; narrowing keeps it so.
+  bool live_ = false;
+};
 
 /// Invokes fn(tb) for every admissible thread-block shape of the region in
 /// canonical order (lexicographic by value index, rule 1 applied).
@@ -462,40 +559,7 @@ std::vector<EnumRegion> build_regions(const SearchSpace& space) {
 
 std::uint64_t count_block(const SearchSpace& space, const EnumRegion& region,
                           const std::array<std::int64_t, 3>& tb) {
-  const BlockContext ctx = make_context(space, region, tb);
-  if (ctx.threads > space.checker().limits().max_threads_per_block) return 0;
-
-  std::vector<DimTable> dims;
-  for (int d = 0; d < 3; ++d) {
-    if (region.streaming && d == region.sd) continue;
-    DimTable table = build_dim_table(ctx, d);
-    if (table.entries.empty()) return 0;
-    dims.push_back(std::move(table));
-  }
-  UePoly pseudo;
-  if (region.streaming) {
-    pseudo = build_streaming_poly(ctx);
-    if (pseudo.c.empty()) return 0;
-  } else {
-    pseudo.c = {1};
-  }
-
-  int me_max = 0;
-  int ue_max = pseudo.max_exponent();
-  for (const DimTable& dim : dims) {
-    int dim_me = 0;
-    int dim_ue = 0;
-    for (const MeEntry& entry : dim.entries) {
-      dim_me = std::max(dim_me, entry.me);
-      dim_ue = std::max(dim_ue, entry.ue.max_exponent());
-    }
-    me_max += dim_me;
-    ue_max += dim_ue;
-  }
-  const std::vector<int> max_ue = build_max_ue(ctx, me_max, ue_max);
-
-  if (!ctx.shared) return count_without_smem(dims, pseudo, max_ue);
-  return count_with_smem(ctx, dims, pseudo, max_ue);
+  return BlockCounter(space, region, tb).count();
 }
 
 std::uint64_t count_region(const SearchSpace& space,
@@ -559,6 +623,42 @@ void BlockCursor::build_candidates(std::size_t level) {
     if (param.values[i] > cap) break;  // ascending
     lv.candidates.push_back(param.values[i]);
   }
+}
+
+bool BlockCursor::seek(std::uint64_t rank, Setting& out) {
+  BlockCounter counter(*space_, *region_,
+                       {current_.get(kTBx), current_.get(kTBy),
+                        current_.get(kTBz)});
+  if (rank >= counter.count()) {
+    done_ = true;
+    return false;
+  }
+  for (std::size_t i = 0; i < levels_.size(); ++i) {
+    build_candidates(i);
+    Level& lv = levels_[i];
+    CSTUNER_CHECK(!lv.candidates.empty());
+    const auto& values = space_->parameter(lv.id).values;
+    const auto bit_of = [&values](std::int64_t value) {
+      const auto at = std::lower_bound(values.begin(), values.end(), value);
+      return std::uint64_t{1} << static_cast<std::size_t>(at - values.begin());
+    };
+    // The deeper levels span exactly the valid settings that share this
+    // prefix, so narrowing this parameter to one value counts its subtree;
+    // skip whole subtrees until the rank falls inside one. A value past
+    // the last candidate's is never reached: the rank is below the count.
+    for (;; ++lv.pos) {
+      counter.narrow(lv.id, bit_of(lv.candidates[lv.pos]));
+      if (lv.pos + 1 == lv.candidates.size()) break;
+      const std::uint64_t subtree = counter.count();
+      if (rank < subtree) break;
+      rank -= subtree;
+    }
+    current_.set(lv.id, lv.candidates[lv.pos]);
+  }
+  depth_ = static_cast<int>(levels_.size()) - 1;
+  done_ = false;
+  out = current_;
+  return true;
 }
 
 bool BlockCursor::next(Setting& out) {
@@ -783,8 +883,15 @@ std::vector<Setting> LazyUniverse::spread_sample(std::size_t k,
        ++j, ++assigned) {
     ++quota[remainders[j].second];
   }
+  CSTUNER_CHECK(assigned == k);
 
-  std::vector<std::vector<Setting>> picked(blocks_.size());
+  // Each block writes its picks straight into its slice of the output.
+  std::vector<std::size_t> first(blocks_.size(), 0);
+  for (std::size_t i = 1; i < blocks_.size(); ++i) {
+    first[i] = first[i - 1] + static_cast<std::size_t>(quota[i - 1]);
+  }
+  std::vector<Setting> out(k);
+  std::atomic<std::uint64_t> walked{0};
   const auto body = [&](std::size_t i) {
     const std::uint64_t q = quota[i];
     if (q == 0) return;
@@ -800,30 +907,24 @@ std::vector<Setting> LazyUniverse::spread_sample(std::size_t k,
       const std::uint64_t slack = blocks_[i].count - (q - 1) * stride;
       offset = hash_combine(salt, static_cast<std::uint64_t>(i)) % slack;
     }
-    picked[i].reserve(static_cast<std::size_t>(q));
+    // Unrank straight to the phase, then walk only the comb's teeth.
     BlockCursor cursor(space_, regions_[blocks_[i].region], blocks_[i].tb);
-    Setting s;
-    std::uint64_t pos = 0;
-    std::uint64_t next_pick = offset;
-    while (picked[i].size() < q && cursor.next(s)) {
-      if (pos == next_pick) {
-        picked[i].push_back(s);
-        next_pick += stride;
+    Setting* pick = &out[first[i]];
+    CSTUNER_CHECK(cursor.seek(offset, *pick));
+    for (std::uint64_t j = 1; j < q; ++j) {
+      ++pick;
+      for (std::uint64_t step = 0; step < stride; ++step) {
+        CSTUNER_CHECK(cursor.next(*pick));
       }
-      ++pos;
     }
+    walked.fetch_add(1 + (q - 1) * stride, std::memory_order_relaxed);
   };
   if (pool_ != nullptr) {
-    pool_->parallel_for(picked.size(), body);
+    pool_->parallel_for(blocks_.size(), body);
   } else {
-    for (std::size_t i = 0; i < picked.size(); ++i) body(i);
+    for (std::size_t i = 0; i < blocks_.size(); ++i) body(i);
   }
-
-  std::vector<Setting> out;
-  out.reserve(k);
-  for (const auto& settings : picked) {
-    out.insert(out.end(), settings.begin(), settings.end());
-  }
+  CSTUNER_OBS_COUNT("space.spread_leaves_walked", walked.load());
   return out;
 }
 

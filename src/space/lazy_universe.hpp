@@ -18,7 +18,8 @@
 //   - count_block / count_region: a dynamic program over merge/unroll
 //     exponents that counts valid settings without enumerating them;
 //   - BlockCursor: a resumable depth-first walk that prunes a whole subtree
-//     the moment its pointwise-minimal completion violates a rule;
+//     the moment its pointwise-minimal completion violates a rule, and
+//     that seeks to any rank by counting subtrees instead of walking them;
 //   - LazyUniverse: deterministic, memory-bounded, chunked enumeration of
 //     the full valid space (plus an exact-count-proportioned spread sample),
 //     bit-identical across ThreadPool worker counts.
@@ -93,6 +94,15 @@ class BlockCursor {
   /// Advances to the next valid setting; false when the block is exhausted.
   bool next(Setting& out);
 
+  /// Positions the cursor on the block's setting of 0-based `rank` in
+  /// next() order and writes it to `out`; next() then continues at
+  /// rank + 1. Unranks instead of walking: level by level, each candidate
+  /// value's subtree is counted exactly (count_block's DP with that
+  /// parameter's mask narrowed to the one value) and skipped while the
+  /// rank is at least its size, so the cost is O(levels * values) counts,
+  /// independent of rank. False (and exhausted) when rank >= the count.
+  bool seek(std::uint64_t rank, Setting& out);
+
  private:
   struct Level {
     ParamId id = kSB;
@@ -118,8 +128,9 @@ struct LazyUniverseOptions {
   /// Maximum settings buffered while blocks are enumerated in parallel;
   /// bounds peak memory of for_each_chunk and spread_sample.
   std::size_t window = 1 << 16;
-  /// spread_sample walks at most quota*stride leaves per block; capping the
-  /// stride bounds total work at ~k*stride leaf visits.
+  /// Largest spacing between spread_sample's picks inside one block. A
+  /// block's q picks visit at most q*stride leaves (one unrank, then the
+  /// comb's steps), so one sample visits at most k*max_spread_stride.
   std::uint64_t max_spread_stride = 64;
 };
 
@@ -166,14 +177,20 @@ class LazyUniverse {
 
   /// Deterministic spread sample of min(k, valid_count()) settings:
   /// per-block quotas proportional to the exact counts (largest-remainder
-  /// rounding, ties to the lower block index), strided picks inside each
-  /// block. No RNG involved; bit-identical across worker counts.
+  /// rounding, ties to the lower block index), then a comb of q picks
+  /// `stride` = min(count/q, max_spread_stride) apart inside each block. No
+  /// RNG involved; bit-identical across worker counts.
   ///
-  /// `salt` rotates each block's strided comb by hash(salt, block) within
-  /// the slack the comb is free to move in, so callers with a seed contract
-  /// (SearchSpace::sample_universe) get seed-dependent — but equally
-  /// spread, still RNG-free — samples. salt == 0 keeps every pick at phase
-  /// zero, the digest-stable order the space-construction gate pins.
+  /// `salt` sets each comb's phase, the rank of its first pick, to
+  /// hash(salt, block) modulo the slack the comb is free to move in, so
+  /// callers with a seed contract (SearchSpace::sample_universe) get
+  /// seed-dependent — but equally spread, still RNG-free — samples.
+  /// salt == 0 keeps every phase at zero, the digest-stable order the
+  /// space-construction gate pins. The first pick is located by
+  /// BlockCursor::seek (an exact unrank, not a walk from the block start)
+  /// and the rest by stepping the cursor, so one call visits at most
+  /// k * max_spread_stride leaves, whatever the salt (obs counter
+  /// `space.spread_leaves_walked`).
   std::vector<Setting> spread_sample(std::size_t k, std::uint64_t salt = 0);
 
  private:

@@ -11,9 +11,11 @@
 #include "analysis/propagate.hpp"
 #include "analysis/space_lint.hpp"
 #include "common/json.hpp"
+#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/cs_tuner.hpp"
 #include "gpusim/simulator.hpp"
+#include "obs/obs.hpp"
 #include "space/lazy_universe.hpp"
 #include "stencil/stencils.hpp"
 #include "tuner/evaluator.hpp"
@@ -208,6 +210,127 @@ TEST(LazyUniverse, SpreadSampleIsOrderedSubsetWithoutDuplicates) {
 
   // Oversized requests degrade to the full universe.
   EXPECT_EQ(lazy.spread_sample(all.size() + 100).size(), all.size());
+}
+
+TEST(BlockCursor, SeekLandsOnEveryRankOfEveryBlock) {
+  // Every block of two scaled stencils' reduced spaces (streaming and
+  // non-streaming regions, shared memory on and off): seek(i) must land on
+  // the i-th setting next() yields, and next() must continue from there.
+  for (const char* name : {"j3d7pt", "hypterm"}) {
+    SearchSpace space(reduced_spec(name), reduced_limits());
+    const auto regions = build_regions(space);
+    std::uint64_t blocks = 0;
+    std::uint64_t ranks = 0;
+    for (const EnumRegion& region : regions) {
+      const auto values_of = [&](ParamId id) {
+        const std::int64_t pin = region.pinned[static_cast<std::size_t>(id)];
+        return pin != 0 ? std::vector<std::int64_t>{pin}
+                        : space.parameter(id).values;
+      };
+      for (const std::int64_t x : values_of(kTBx)) {
+        for (const std::int64_t y : values_of(kTBy)) {
+          for (const std::int64_t z : values_of(kTBz)) {
+            const std::array<std::int64_t, 3> tb{x, y, z};
+            const std::uint64_t count = count_block(space, region, tb);
+            std::vector<Setting> walked;
+            BlockCursor walker(space, region, tb);
+            Setting s;
+            while (walker.next(s)) walked.push_back(s);
+            ASSERT_EQ(walked.size(), count) << region.label();
+            for (std::uint64_t i = 0; i < count; ++i) {
+              BlockCursor cursor(space, region, tb);
+              ASSERT_TRUE(cursor.seek(i, s)) << region.label() << " rank " << i;
+              ASSERT_EQ(key_of(s), key_of(walked[i]))
+                  << name << " " << region.label() << " rank " << i;
+              if (i + 1 < count) {
+                ASSERT_TRUE(cursor.next(s));
+                ASSERT_EQ(key_of(s), key_of(walked[i + 1]))
+                    << name << " " << region.label() << " after rank " << i;
+              } else {
+                EXPECT_FALSE(cursor.next(s));
+              }
+            }
+            BlockCursor past_end(space, region, tb);
+            EXPECT_FALSE(past_end.seek(count, s)) << region.label();
+            EXPECT_FALSE(past_end.next(s)) << region.label();
+            blocks += count > 0 ? 1 : 0;
+            ranks += count;
+          }
+        }
+      }
+    }
+    EXPECT_EQ(ranks, LazyUniverse(space).valid_count()) << name;
+    EXPECT_GT(blocks, 100u) << name;
+  }
+}
+
+TEST(LazyUniverse, SaltedSampleVisitsAtMostStrideLeavesPerPick) {
+  // The comb is located by an unrank, not a walk from the block start, so
+  // a salted sample's leaf visits are bounded by k * max_spread_stride
+  // whatever hashed phase each block gets. At least every pick is visited.
+  SearchSpace space(stencil::make_stencil("j3d7pt"));
+  LazyUniverse lazy(space);
+  const std::size_t k = 2000;
+  const LazyUniverseOptions defaults;
+  auto& walked = obs::metrics().counter("space.spread_leaves_walked");
+  for (const std::uint64_t salt : {std::uint64_t{0}, Rng(7).next() | 1}) {
+    const std::uint64_t before = walked.value();
+    ASSERT_EQ(lazy.spread_sample(k, salt).size(), k);
+    const std::uint64_t visits = walked.value() - before;
+    EXPECT_LE(visits, k * defaults.max_spread_stride) << "salt " << salt;
+    if (obs::kCompiledIn) {
+      EXPECT_GE(visits, k) << "salt " << salt;
+    }
+  }
+}
+
+TEST(LazyUniverse, SaltedSampleMatchesGoldenDigests) {
+  // spread_sample(8000, salt) on the full Table I space of every benchmark
+  // stencil. The first salt is the CLI's (`tune --seed 7`: CsTuner salts
+  // with its RNG's first draw, forced odd). A salted comb starts at a
+  // hashed rank inside each block, so these pin how picks are located.
+  // The digests were recorded when each phase was reached by walking from
+  // the block start; the unrank must land on the same settings.
+  const std::uint64_t cli_salt = Rng(7).next() | 1;
+  struct Golden {
+    const char* stencil;
+    std::array<std::uint64_t, 3> digests;  // per salt below
+  };
+  const std::array<std::uint64_t, 3> salts = {cli_salt, 1,
+                                              0x5EED5EED5EED5EEDULL};
+  const Golden golden[] = {
+      {"j3d7pt",
+       {0x348D7B08509E131AULL, 0x0FD30B4834287E05ULL, 0xE7033BF5C093D6E7ULL}},
+      {"j3d27pt",
+       {0x348D7B08509E131AULL, 0x0FD30B4834287E05ULL, 0xE7033BF5C093D6E7ULL}},
+      {"helmholtz",
+       {0x7E5D0241B7AB9A15ULL, 0x5E7C28EDF5F38261ULL, 0x3AC10E792E610595ULL}},
+      {"cheby",
+       {0xE3E3F66D9EBE6B94ULL, 0xA80AFC99E9464FA5ULL, 0xA3D3D66DE4D9C10AULL}},
+      {"hypterm",
+       {0x34C8D37D363B45D8ULL, 0x8249126E355450D8ULL, 0x286C6225616A7341ULL}},
+      {"addsgd4",
+       {0x7021F9BD7E8FFCB0ULL, 0x24BA2D454391308BULL, 0x428444C95EC5C3D0ULL}},
+      {"addsgd6",
+       {0x93F570CD9C8BC35AULL, 0x21FE416FCA598917ULL, 0x8EFA87381D9117D8ULL}},
+      {"rhs4center",
+       {0x83EB1048FB967838ULL, 0x80D037FEAD6DDD5AULL, 0x71C86F07167A42E7ULL}},
+  };
+  for (const std::size_t workers : {std::size_t{0}, std::size_t{2},
+                                    std::size_t{4}}) {
+    ThreadPool pool(workers);
+    for (const Golden& g : golden) {
+      SearchSpace space(stencil::make_stencil(g.stencil));
+      LazyUniverse lazy(space, {}, &pool);
+      for (std::size_t s = 0; s < salts.size(); ++s) {
+        const auto sample = lazy.spread_sample(8000, salts[s]);
+        ASSERT_EQ(sample.size(), 8000u) << g.stencil;
+        EXPECT_EQ(digest(sample), g.digests[s])
+            << g.stencil << " salt " << salts[s] << ", " << workers
+            << " workers";
+      }
+    }
+  }
 }
 
 // -- Symbolic propagation vs exhaustive ground truth ------------------------
