@@ -245,20 +245,24 @@ std::vector<int> build_max_ue(const BlockContext& ctx, int me_max,
   return max_ue;
 }
 
+}  // namespace
+
 /// count_block's dynamic program for one block, with the mask-independent
 /// work done once: the context and the register frontier read only the
 /// pinned flags and the thread-block shape.
 ///
 /// A count combines one focus part with frames, the joint distribution of
-/// all other parts. narrow() rebuilds only the part the parameter feeds and
-/// makes it the focus, so an unrank's successive counts on one parameter
-/// reuse the frames and cost one part plus the combine. Every table lives
-/// in a buffer the counter reuses, so counting allocates only while the
-/// buffers first grow.
+/// all other parts, folded into a weight per focus cell. narrow() rebuilds
+/// only the part the parameter feeds and makes it the focus, so an
+/// unrank's successive counts on one parameter reuse the weights and cost
+/// one part plus a dot product. Every table lives in a buffer the counter
+/// reuses, so counting allocates only while the buffers first grow.
 ///
 /// The frontier is built over the block's full masks and stays exact under
 /// narrowing: narrowing only zeroes table cells, and the combine never
-/// reads the frontier beyond the exponents its tables still hold.
+/// reads the frontier beyond the exponents its tables still hold. The same
+/// frontier is BlockCursor's leaf verdict (admits()), so counting and
+/// enumeration judge a setting by one rule.
 class BlockCounter {
  public:
   BlockCounter(const SearchSpace& space, const EnumRegion& region,
@@ -267,13 +271,7 @@ class BlockCounter {
     if (ctx_.threads > space.checker().limits().max_threads_per_block) {
       return;
     }
-    for (int d = 0; d < 3; ++d) {
-      if (region_.streaming && d == region_.sd) continue;
-      part_of_dim_[static_cast<std::size_t>(d)] = nparts_;
-      build_dim_part(ctx_, d, parts_[nparts_++]);
-    }
-    if (region_.streaming) build_pseudo_part(ctx_, parts_[nparts_++]);
-
+    build_parts();
     int me_max = 0;
     int ue_max = 0;
     for (std::size_t p = 0; p < nparts_; ++p) {
@@ -305,24 +303,37 @@ class BlockCounter {
       if (parts_[p].empty) return 0;
     }
     if (frames_for_ != focus_) build_frames();
-    const Part& focus = parts_[focus_];
+    const std::vector<std::uint64_t>& cells = parts_[focus_].t.c;
     std::uint64_t total = 0;
-    for (std::size_t f = 0; f < frame_me_.size(); ++f) {
-      const std::uint64_t* prefix = &prefix_[f * width_];
-      for (std::size_t me_a = 0; me_a < focus.t.rows; ++me_a) {
-        if (frame_ext_[f] > ctx_.ext_cap / focus.ext(me_a)) break;  // rule 9
-        const std::size_t me = frame_me_[f] + me_a;
-        // The frontier is nonincreasing in me.
-        if (me >= max_ue_.size() || max_ue_[me] < 0) break;
-        const auto cap = static_cast<std::size_t>(max_ue_[me]);
-        const std::uint64_t* row = focus.t.row(me_a);
-        for (std::size_t u = 0; u < focus.t.width && u <= cap; ++u) {
-          if (row[u] == 0) continue;
-          total += row[u] * prefix[std::min(cap - u, width_ - 1)];
-        }
-      }
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      total += cells[i] * weights_[i];
     }
     return total;
+  }
+
+  /// The verdict of rules 8, 8b and 9 on a setting of this block that
+  /// already satisfies rules 1-7 and 10 (BlockCursor's candidate lists
+  /// apply those), exact and in O(1). With the flags and the thread-block
+  /// shape fixed, the resource model reads the free parameters only through
+  /// the total merge exponent me and unroll exponent ue (registers) and the
+  /// product of the tile extents tb*CM*BM + 2*order (shared memory), so the
+  /// setting is valid iff max_ue[me] >= ue and that product is at most
+  /// ext_cap. A me past the frontier has no valid completion at all.
+  bool admits(const Setting& s) const {
+    if (!live_) return false;
+    const std::size_t me = exponent(s.points_per_thread());
+    if (me >= max_ue_.size()) return false;
+    const std::int64_t unroll = s.get(kUFx) * s.get(kUFy) * s.get(kUFz);
+    if (max_ue_[me] < static_cast<int>(exponent(unroll))) return false;
+    if (!ctx_.shared) return true;
+    std::int64_t ext = 1;
+    for (int d = 0; d < 3; ++d) {
+      if (region_.streaming && d == region_.sd) continue;
+      ext *= ctx_.tb[static_cast<std::size_t>(d)] * s.get(kCmIds[d]) *
+                 s.get(kBmIds[d]) +
+             2 * ctx_.space->spec().order;
+    }
+    return ext <= ctx_.ext_cap;
   }
 
   /// Restricts free numeric parameter `id` to the values in `mask`, a
@@ -339,26 +350,49 @@ class BlockCounter {
       build_pseudo_part(ctx_, parts_[part]);
     }
     // Frames built around this focus exclude the rebuilt part and stay
-    // valid; count() rebuilds them for any other focus.
+    // valid; frames built around any other focus include it and do not.
+    if (frames_for_ != part) frames_for_ = kNoFrames;
     focus_ = part;
+  }
+
+  /// Undoes every narrow(): back to the block's full masks.
+  void widen(const EnumRegion& region) {
+    region_.masks = region.masks;
+    if (!live_) return;
+    nparts_ = 0;
+    build_parts();
+    frames_for_ = kNoFrames;
   }
 
  private:
   static constexpr std::size_t kNoFrames = static_cast<std::size_t>(-1);
 
+  void build_parts() {
+    for (int d = 0; d < 3; ++d) {
+      if (region_.streaming && d == region_.sd) continue;
+      part_of_dim_[static_cast<std::size_t>(d)] = nparts_;
+      build_dim_part(ctx_, d, parts_[nparts_++]);
+    }
+    if (region_.streaming) build_pseudo_part(ctx_, parts_[nparts_++]);
+  }
+
   /// Frames: one per combination of the non-focus parts' merge exponents
   /// (per total merge exponent when rule 9 cannot bind), each with the
-  /// product of its tile extents, its total merge exponent, and prefix
-  /// sums over the total unroll exponent (prefix[u] = combinations with
-  /// ue <= u; width_ per frame).
+  /// product of its tile extents, its total merge exponent, and its
+  /// distribution over the total unroll exponent. Each frame is folded into
+  /// weights_ as soon as it is built: weights_[me_a * width + u] is the
+  /// number of combinations of the other parts that complete a focus
+  /// choice of merge exponent me_a and unroll exponent u into a valid
+  /// setting. Weights depend on the other parts only, so every count on
+  /// this focus is one dot product with the focus table.
   void build_frames() {
-    frame_ext_.clear();
-    frame_me_.clear();
-    prefix_.clear();
+    CSTUNER_OBS_COUNT("space.counter_frames_built", 1);
+    weights_.assign(parts_[focus_].t.c.size(), 0);
     width_ = 1;
     for (std::size_t p = 0; p < nparts_; ++p) {
       if (p != focus_) width_ += parts_[p].t.width - 1;
     }
+    prefix_.resize(width_);
     if (!ctx_.shared) {
       // Rule 9 never binds: the other parts collapse into one joint
       // (me, ue) table, one frame per total merge exponent.
@@ -410,12 +444,23 @@ class BlockCounter {
 
   void add_frame(std::int64_t ext_prod, std::size_t me,
                  const std::uint64_t* poly, std::size_t n) {
-    frame_ext_.push_back(ext_prod);
-    frame_me_.push_back(me);
+    // prefix_[u] = combinations with total unroll exponent <= u.
     std::uint64_t running = 0;
     for (std::size_t u = 0; u < width_; ++u) {
       if (u < n) running += poly[u];
-      prefix_.push_back(running);
+      prefix_[u] = running;
+    }
+    const Part& focus = parts_[focus_];
+    for (std::size_t me_a = 0; me_a < focus.t.rows; ++me_a) {
+      if (ext_prod > ctx_.ext_cap / focus.ext(me_a)) break;  // rule 9
+      const std::size_t me_total = me + me_a;
+      // The frontier is nonincreasing in me.
+      if (me_total >= max_ue_.size() || max_ue_[me_total] < 0) break;
+      const auto cap = static_cast<std::size_t>(max_ue_[me_total]);
+      std::uint64_t* weight = &weights_[me_a * focus.t.width];
+      for (std::size_t u = 0; u < focus.t.width && u <= cap; ++u) {
+        weight[u] += prefix_[std::min(cap - u, width_ - 1)];
+      }
     }
   }
 
@@ -426,11 +471,11 @@ class BlockCounter {
   std::array<std::size_t, 3> part_of_dim_{};
   std::vector<int> max_ue_;
   std::size_t focus_ = 0;
-  /// The focus the frames were built around; kNoFrames before the first.
+  /// The focus the weights were built around; kNoFrames before the first.
   std::size_t frames_for_ = kNoFrames;
-  std::vector<std::int64_t> frame_ext_;
-  std::vector<std::size_t> frame_me_;
+  std::vector<std::uint64_t> weights_;
   std::vector<std::uint64_t> prefix_;
+  /// Unroll-exponent span of the frames (the other parts' widths summed).
   std::size_t width_ = 1;
   ExpTable joint_;
   ExpTable scratch_;
@@ -438,6 +483,8 @@ class BlockCounter {
   /// False when the full block is already empty; narrowing keeps it so.
   bool live_ = false;
 };
+
+namespace {
 
 /// Invokes fn(tb) for every admissible thread-block shape of the region in
 /// canonical order (lexicographic by value index, rule 1 applied).
@@ -575,7 +622,9 @@ std::uint64_t count_region(const SearchSpace& space,
 
 BlockCursor::BlockCursor(const SearchSpace& space, const EnumRegion& region,
                          const std::array<std::int64_t, 3>& tb)
-    : space_(&space), region_(&region) {
+    : space_(&space),
+      region_(&region),
+      counter_(std::make_unique<BlockCounter>(space, region, tb)) {
   for (std::size_t p = 0; p < kParamCount; ++p) {
     if (region.pinned[p] != 0) {
       current_.set(static_cast<ParamId>(p), region.pinned[p]);
@@ -594,6 +643,13 @@ BlockCursor::BlockCursor(const SearchSpace& space, const EnumRegion& region,
       levels_.push_back({kUfIds[d], {}, 0});
     }
   }
+}
+
+BlockCursor::~BlockCursor() = default;
+
+void BlockCursor::observe_trials(
+    std::function<void(const Setting&, bool)> fn) {
+  observer_ = std::move(fn);
 }
 
 void BlockCursor::build_candidates(std::size_t level) {
@@ -626,9 +682,9 @@ void BlockCursor::build_candidates(std::size_t level) {
 }
 
 bool BlockCursor::seek(std::uint64_t rank, Setting& out) {
-  BlockCounter counter(*space_, *region_,
-                       {current_.get(kTBx), current_.get(kTBy),
-                        current_.get(kTBz)});
+  BlockCounter& counter = *counter_;
+  if (narrowed_) counter.widen(*region_);
+  narrowed_ = true;
   if (rank >= counter.count()) {
     done_ = true;
     return false;
@@ -678,13 +734,11 @@ bool BlockCursor::next(Setting& out) {
     if (lv.pos < lv.candidates.size()) {
       current_.set(lv.id, lv.candidates[lv.pos]);
       // Pointwise-minimal completion: all deeper parameters sit at 1, so a
-      // violated rule here (all monotone in this parameter within the
-      // region) rules out this and every larger candidate.
-      if (space_->is_valid(current_)) {
-        placed = true;
-      } else {
-        lv.pos = lv.candidates.size();
-      }
+      // setting outside the frontier here (registers and tile extents grow
+      // with this parameter) rules out this and every larger candidate.
+      placed = counter_->admits(current_);
+      if (observer_) observer_(current_, placed);
+      if (!placed) lv.pos = lv.candidates.size();
     }
     if (!placed) {
       current_.set(lv.id, 1);

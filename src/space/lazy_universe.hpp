@@ -18,8 +18,9 @@
 //   - count_block / count_region: a dynamic program over merge/unroll
 //     exponents that counts valid settings without enumerating them;
 //   - BlockCursor: a resumable depth-first walk that prunes a whole subtree
-//     the moment its pointwise-minimal completion violates a rule, and
-//     that seeks to any rank by counting subtrees instead of walking them;
+//     the moment its pointwise-minimal completion leaves the block's
+//     resource frontier (the DP's own thresholds), and that seeks to any
+//     rank by counting subtrees instead of walking them;
 //   - LazyUniverse: deterministic, memory-bounded, chunked enumeration of
 //     the full valid space (plus an exact-count-proportioned spread sample),
 //     bit-identical across ThreadPool worker counts.
@@ -31,6 +32,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -79,17 +81,28 @@ std::uint64_t count_block(const SearchSpace& space, const EnumRegion& region,
 /// Exact number of valid settings in `region` (all thread-block shapes).
 std::uint64_t count_region(const SearchSpace& space, const EnumRegion& region);
 
+/// count_block's dynamic program and leaf verdict for one block
+/// (lazy_universe.cpp).
+class BlockCounter;
+
 /// Resumable depth-first enumeration of one block's valid settings in a
 /// fixed order: SB, then per dimension d in x,y,z order (CMd, BMd, UFd);
 /// streaming-dimension factors are pinned at 1 and UF_sd ranges under SB.
-/// Candidate lists are pre-filtered by the support rules (coverage, UF <=
-/// CM*BM, UF_sd <= SB) and every partial assignment is validated with all
-/// deeper parameters at their minimum (1): monotonicity makes that check
+/// Candidate lists apply rules 1-7 and 10 (the region pins the flags, the
+/// block the thread-block shape; coverage, UF <= CM*BM and UF_sd <= SB cap
+/// each list). Each partial assignment, deeper parameters at 1, is then
+/// judged by the block's frontier, not by ConstraintChecker: registers
+/// read the free parameters only through the total merge and unroll
+/// exponents, and shared memory only through the product of the tile
+/// extents, so rules 8, 8b and 9 hold iff max_ue[me] >= ue and that product
+/// is at most ext_cap — the thresholds count_block's DP counts with, built
+/// through estimate_resources_core itself. Monotonicity makes the verdict
 /// both a sound subtree prune and, at the leaf, the full validity verdict.
 class BlockCursor {
  public:
   BlockCursor(const SearchSpace& space, const EnumRegion& region,
               const std::array<std::int64_t, 3>& tb);
+  ~BlockCursor();
 
   /// Advances to the next valid setting; false when the block is exhausted.
   bool next(Setting& out);
@@ -101,7 +114,14 @@ class BlockCursor {
   /// parameter's mask narrowed to the one value) and skipped while the
   /// rank is at least its size, so the cost is O(levels * values) counts,
   /// independent of rank. False (and exhausted) when rank >= the count.
+  /// The counts and next()'s verdicts come from one BlockCounter, built
+  /// with the cursor.
   bool seek(std::uint64_t rank, Setting& out);
+
+  /// Calls fn(partial, admitted) on every assignment next() judges, with
+  /// the deeper parameters at 1. For tests that check the frontier verdict
+  /// against ConstraintChecker; the verdict does not depend on it.
+  void observe_trials(std::function<void(const Setting&, bool)> fn);
 
  private:
   struct Level {
@@ -114,11 +134,15 @@ class BlockCursor {
 
   const SearchSpace* space_;
   const EnumRegion* region_;
+  std::unique_ptr<BlockCounter> counter_;
+  /// True once seek() has narrowed counter_'s masks.
+  bool narrowed_ = false;
   Setting current_;
   std::vector<Level> levels_;
   /// Deepest assigned level; -1 before the first next() call.
   int depth_ = -1;
   bool done_ = false;
+  std::function<void(const Setting&, bool)> observer_;
 };
 
 struct LazyUniverseOptions {

@@ -119,6 +119,72 @@ TEST(LazyUniverse, MatchesBruteForceOnReducedSpaces) {
   }
 }
 
+TEST(LazyUniverse, MatchesBruteForceWhereResourceRulesCut) {
+  // The reduced spaces under the default limits rarely hit rules 8, 8b and
+  // 9, so the frontier's thresholds would go almost untested. Per-stencil
+  // limits cut into the middle of each space's register and shared-memory
+  // range instead, and the shared-memory limit is one that valid settings
+  // reach exactly, so an off-by-one in the rule-9 threshold shows.
+  struct Tight {
+    const char* stencil;
+    ResourceLimits limits;
+  };
+  const auto tight = [](int regs_per_thread, std::int64_t regs_per_block,
+                        std::int64_t smem) {
+    ResourceLimits limits;
+    limits.max_registers_per_thread = regs_per_thread;
+    limits.max_registers_per_block = regs_per_block;
+    limits.max_smem_per_block = smem;
+    return limits;
+  };
+  const Tight cases[] = {{"j3d7pt", tight(60, 1536, 2880)},
+                         {"hypterm", tight(150, 4096, 30720)}};
+  ResourceLimits loose;
+  loose.max_registers_per_thread = 1 << 20;
+  loose.max_registers_per_block = std::int64_t{1} << 40;
+  loose.max_smem_per_block = std::int64_t{1} << 40;
+  for (const Tight& c : cases) {
+    SearchSpace space(reduced_spec(c.stencil), reduced_limits(), c.limits);
+    // Settings that pass every rule but the resource ones, attributed to
+    // the first resource rule the checker reports.
+    SearchSpace unbounded(reduced_spec(c.stencil), reduced_limits(), loose);
+    std::vector<Setting> expected;
+    std::size_t spill = 0;
+    std::size_t block_regs = 0;
+    std::size_t smem = 0;
+    bool smem_at_limit = false;
+    for (const Setting& s : brute_force(unbounded)) {
+      const auto why = space.checker().violation(s);
+      if (!why.has_value()) {
+        expected.push_back(s);
+        smem_at_limit = smem_at_limit ||
+                        estimate_resources(space.spec(), s, c.limits)
+                                .shared_mem_per_block ==
+                            c.limits.max_smem_per_block;
+      } else if (why->starts_with("register spill")) {
+        ++spill;
+      } else if (why->starts_with("block needs")) {
+        ++block_regs;
+      } else if (why->starts_with("shared memory")) {
+        ++smem;
+      } else {
+        ADD_FAILURE() << c.stencil << ": unexpected violation " << *why;
+      }
+    }
+    EXPECT_GT(spill, 0u) << c.stencil << ": rule 8 never cuts";
+    EXPECT_GT(block_regs, 0u) << c.stencil << ": rule 8b never cuts";
+    EXPECT_GT(smem, 0u) << c.stencil << ": rule 9 never cuts";
+    EXPECT_TRUE(smem_at_limit) << c.stencil;
+    ASSERT_FALSE(expected.empty()) << c.stencil;
+
+    LazyUniverse lazy(space);
+    EXPECT_EQ(lazy.valid_count(), expected.size()) << c.stencil;
+    const auto all = lazy.take_all();
+    ASSERT_EQ(all.size(), expected.size()) << c.stencil;
+    EXPECT_EQ(sorted_keys(all), sorted_keys(expected)) << c.stencil;
+  }
+}
+
 TEST(LazyUniverse, ChunkedEnumerationMatchesTakeAll) {
   SearchSpace space(reduced_spec("j3d7pt"), reduced_limits());
   LazyUniverseOptions options;
@@ -261,6 +327,100 @@ TEST(BlockCursor, SeekLandsOnEveryRankOfEveryBlock) {
     }
     EXPECT_EQ(ranks, LazyUniverse(space).valid_count()) << name;
     EXPECT_GT(blocks, 100u) << name;
+  }
+}
+
+TEST(BlockCursor, ReseekMatchesFreshCursor) {
+  // One cursor seeks several times (its counter is narrowed by each seek
+  // and widened by the next), against the settings a walk yields.
+  SearchSpace space(reduced_spec("hypterm"), reduced_limits());
+  std::uint64_t blocks = 0;
+  for (const EnumRegion& region : build_regions(space)) {
+    for (const std::int64_t x : space.parameter(kTBx).values) {
+      const std::array<std::int64_t, 3> tb{region.is_free(kTBx) ? x : 1, 1,
+                                           1};
+      std::vector<Setting> walked;
+      BlockCursor walker(space, region, tb);
+      Setting s;
+      while (walker.next(s)) walked.push_back(s);
+      if (walked.empty()) continue;
+      BlockCursor cursor(space, region, tb);
+      const std::uint64_t n = walked.size();
+      for (const std::uint64_t rank : {n - 1, std::uint64_t{0}, n / 2, n - 1}) {
+        ASSERT_TRUE(cursor.seek(rank, s)) << region.label() << " " << rank;
+        ASSERT_EQ(key_of(s), key_of(walked[rank]))
+            << region.label() << " rank " << rank;
+      }
+      EXPECT_FALSE(cursor.seek(n, s)) << region.label();
+      ASSERT_TRUE(cursor.seek(0, s));
+      EXPECT_EQ(key_of(s), key_of(walked[0])) << region.label();
+      ++blocks;
+    }
+  }
+  EXPECT_GT(blocks, 50u);
+}
+
+TEST(BlockCursor, FrontierVerdictMatchesCheckerOnEveryTrial) {
+  // next() judges each partial assignment (deeper parameters at 1) by the
+  // block's frontier instead of ConstraintChecker. Over every block of two
+  // full-size benchmark stencils, seek to a salted rank and take the next
+  // kLeaves leaves: every assignment next() judges on the way, admitted or
+  // not, must get the checker's verdict.
+  constexpr std::uint64_t kLeaves = 24;
+  const std::uint64_t salt = Rng(7).next() | 1;
+  for (const char* name : {"j3d7pt", "rhs4center"}) {
+    SearchSpace space(stencil::make_stencil(name));
+    const auto max_threads = space.checker().limits().max_threads_per_block;
+    std::uint64_t blocks = 0;
+    std::uint64_t trials = 0;
+    std::uint64_t mismatches = 0;
+    std::size_t spill = 0;
+    std::size_t block_regs = 0;
+    std::size_t smem = 0;
+    for (const EnumRegion& region : build_regions(space)) {
+      const auto values_of = [&](ParamId id) {
+        const std::int64_t pin = region.pinned[static_cast<std::size_t>(id)];
+        return pin != 0 ? std::vector<std::int64_t>{pin}
+                        : space.parameter(id).values;
+      };
+      for (const std::int64_t x : values_of(kTBx)) {
+        for (const std::int64_t y : values_of(kTBy)) {
+          for (const std::int64_t z : values_of(kTBz)) {
+            if (x * y * z > max_threads) continue;
+            const std::array<std::int64_t, 3> tb{x, y, z};
+            const std::uint64_t count = count_block(space, region, tb);
+            if (count == 0) continue;
+            BlockCursor cursor(space, region, tb);
+            cursor.observe_trials([&](const Setting& s, bool admitted) {
+              ++trials;
+              const auto why = space.checker().violation(s);
+              if (admitted != !why.has_value()) {
+                if (mismatches++ == 0) {
+                  ADD_FAILURE() << name << " " << region.label() << ": "
+                                << s.to_string() << " admitted=" << admitted
+                                << " checker: " << why.value_or("valid");
+                }
+              }
+              if (!why.has_value()) return;
+              spill += why->starts_with("register spill") ? 1 : 0;
+              block_regs += why->starts_with("block needs") ? 1 : 0;
+              smem += why->starts_with("shared memory") ? 1 : 0;
+            });
+            Setting s;
+            ASSERT_TRUE(cursor.seek(hash_combine(salt, blocks) % count, s));
+            for (std::uint64_t i = 0; i < kLeaves && cursor.next(s); ++i) {
+            }
+            ++blocks;
+          }
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << name << " of " << trials << " trials";
+    EXPECT_GT(blocks, 1000u) << name;
+    // Rejections reach every resource rule, not just the candidate caps.
+    EXPECT_GT(spill, 0u) << name;
+    EXPECT_GT(block_regs, 0u) << name;
+    EXPECT_GT(smem, 0u) << name;
   }
 }
 
