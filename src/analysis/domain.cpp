@@ -1,19 +1,12 @@
 #include "analysis/domain.hpp"
 
 #include <bit>
-#include <numeric>
 #include <sstream>
 
 #include "common/error.hpp"
 #include "common/math_util.hpp"
 
 namespace cstuner::analysis {
-
-ValueDomain::ValueDomain(const space::Parameter& param) : param_(&param) {
-  const std::size_t n = param.values.size();
-  CSTUNER_CHECK_MSG(n <= 64, "domain mask holds at most 64 values");
-  mask_ = n == 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << n) - 1);
-}
 
 ValueDomain::ValueDomain(const space::Parameter& param, std::uint64_t mask)
     : param_(&param), mask_(mask) {
@@ -24,14 +17,6 @@ ValueDomain::ValueDomain(const space::Parameter& param, std::uint64_t mask)
 
 std::size_t ValueDomain::count() const {
   return static_cast<std::size_t>(std::popcount(mask_));
-}
-
-bool ValueDomain::contains(std::int64_t value) const {
-  if (param_ == nullptr) return false;
-  for (std::size_t i = 0; i < param_->values.size(); ++i) {
-    if (param_->values[i] == value) return ((mask_ >> i) & 1U) != 0;
-  }
-  return false;
 }
 
 bool ValueDomain::remove(std::int64_t value) {
@@ -47,34 +32,6 @@ bool ValueDomain::remove(std::int64_t value) {
   return false;
 }
 
-std::size_t ValueDomain::clamp_max(std::int64_t hi) {
-  if (param_ == nullptr) return 0;
-  std::size_t removed = 0;
-  for (std::size_t i = 0; i < param_->values.size(); ++i) {
-    if (param_->values[i] <= hi) continue;
-    const std::uint64_t bit = std::uint64_t{1} << i;
-    if ((mask_ & bit) != 0) {
-      mask_ &= ~bit;
-      ++removed;
-    }
-  }
-  return removed;
-}
-
-std::size_t ValueDomain::clamp_min(std::int64_t lo) {
-  if (param_ == nullptr) return 0;
-  std::size_t removed = 0;
-  for (std::size_t i = 0; i < param_->values.size(); ++i) {
-    if (param_->values[i] >= lo) continue;
-    const std::uint64_t bit = std::uint64_t{1} << i;
-    if ((mask_ & bit) != 0) {
-      mask_ &= ~bit;
-      ++removed;
-    }
-  }
-  return removed;
-}
-
 std::int64_t ValueDomain::min() const {
   CSTUNER_CHECK_MSG(!empty(), "min() of an empty domain");
   const auto i = static_cast<std::size_t>(std::countr_zero(mask_));
@@ -85,12 +42,6 @@ std::int64_t ValueDomain::max() const {
   CSTUNER_CHECK_MSG(!empty(), "max() of an empty domain");
   const auto i = static_cast<std::size_t>(63 - std::countl_zero(mask_));
   return param_->values[i];
-}
-
-std::int64_t ValueDomain::gcd() const {
-  std::int64_t g = 0;
-  for_each([&g](std::int64_t v) { g = std::gcd(g, v); });
-  return g;
 }
 
 bool ValueDomain::all_pow2() const {

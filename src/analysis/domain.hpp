@@ -2,12 +2,9 @@
 // Per-parameter abstract domains for the symbolic constraint-propagation
 // engine (propagate.hpp, docs/search-space.md). A ValueDomain is the set of
 // still-possible values of one parameter inside one case-split region,
-// represented as a bitmask over the parameter's sorted value list. On top of
-// the exact set it exposes the two abstractions the propagation rules reason
-// with: the interval [min, max] (coverage/threads/extent rules are threshold
-// rules, so clamping an endpoint is an exact arc-consistency step) and
-// divisibility structure (gcd / all-pow2 — the merge and unroll factors the
-// resource rules read only through products of domain values).
+// represented as a bitmask over the parameter's sorted value list. The
+// engine prunes it value by value (remove) and reads it through its
+// endpoints, its values in ascending order and ceil_value.
 //
 // Removing a value never makes an invalid setting valid (every rule's
 // left-hand side is monotone within a region), so domains only ever shrink:
@@ -16,7 +13,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 
 #include "space/parameter.hpp"
 
@@ -25,34 +21,23 @@ namespace cstuner::analysis {
 class ValueDomain {
  public:
   ValueDomain() = default;
-  /// Full domain: every admissible value of the parameter. Requires
-  /// cardinality <= 64 (the engine bails out on wider parameters).
-  explicit ValueDomain(const space::Parameter& param);
-  /// Restricted domain: bit i of `mask` admits param.values[i].
+  /// Bit i of `mask` admits param.values[i]. Requires cardinality <= 64
+  /// (the engine bails out on wider parameters).
   ValueDomain(const space::Parameter& param, std::uint64_t mask);
 
-  const space::Parameter* parameter() const { return param_; }
   std::uint64_t mask() const { return mask_; }
   bool empty() const { return mask_ == 0; }
   std::size_t count() const;
-  bool contains(std::int64_t value) const;
 
   /// Removes one value; true when it was present.
   bool remove(std::int64_t value);
-  /// Removes every value > hi (resp. < lo); returns how many were removed.
-  std::size_t clamp_max(std::int64_t hi);
-  std::size_t clamp_min(std::int64_t lo);
 
-  /// Interval abstraction. Undefined on an empty domain (checked).
+  /// Smallest (resp. largest) remaining value. Undefined on an empty domain
+  /// (checked).
   std::int64_t min() const;
   std::int64_t max() const;
-  std::pair<std::int64_t, std::int64_t> interval() const {
-    return {min(), max()};
-  }
 
-  /// Divisibility abstraction: gcd of the remaining values (0 when empty).
-  std::int64_t gcd() const;
-  /// Congruence abstraction: every remaining value a power of two.
+  /// Every remaining value a power of two.
   bool all_pow2() const;
 
   /// Smallest remaining value >= v, or -1 when none exists.

@@ -71,10 +71,7 @@ GaResult IslandGa::run(
   const std::size_t n_genes = cardinalities_.size();
   const int pop_size = options_.population_size;
 
-  minimpi::RunOptions mpi_options;
-  mpi_options.recover_killed_ranks = true;
-  minimpi::Context::run(
-      options_.sub_populations, mpi_options, [&](minimpi::Comm& comm) {
+  minimpi::Context::run(options_.sub_populations, [&](minimpi::Comm& comm) {
     Rng rng(hash_combine(options_.seed,
                          static_cast<std::uint64_t>(comm.rank()) + 101));
 

@@ -1,9 +1,9 @@
 #pragma once
 // Inline per-setting stages of the analytical GPU model, parameterized on
 // the hoisted StencilInvariants. Both the scalar Simulator::profile() and
-// the batch SoA pipeline (profile_batch / profile_times) execute exactly
-// these bodies, which is what makes "batch bit-identical to scalar" hold by
-// construction rather than by test luck (docs/performance.md).
+// the batch SoA pipeline (profile_times) execute exactly these bodies,
+// which is what makes "batch bit-identical to scalar" hold by construction
+// rather than by test luck (docs/performance.md).
 //
 // The arithmetic is a line-for-line transcription of the original
 // memory_model / compute_model / simulator code with only the grouping-

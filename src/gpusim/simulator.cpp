@@ -13,8 +13,7 @@ namespace cstuner::gpusim {
 
 namespace {
 
-/// Metric-vector assembly from the completed profile fields. Shared by the
-/// scalar and batch paths (same TU), so they agree bit for bit.
+/// Metric-vector assembly from the completed profile fields.
 inline void assemble_metrics(const GpuArch& arch, const StencilInvariants& inv,
                              KernelProfile& p) {
   auto& m = p.metrics;
@@ -108,54 +107,6 @@ KernelProfile Simulator::profile(const stencil::StencilSpec& spec,
   p.time_ms = detail::combine_time_stage(inv, setting, p.memory, p.compute);
   assemble_metrics(arch_, inv, p);
   return p;
-}
-
-void Simulator::profile_batch(const stencil::StencilSpec& spec,
-                              std::span<const space::Setting> settings,
-                              std::span<KernelProfile> out) const {
-  CSTUNER_CHECK_MSG(settings.size() == out.size(),
-                    "profile_batch: output span size mismatch");
-  const StencilInvariants& inv = invariants(spec);
-  const std::size_t n = settings.size();
-  const space::ResourceLimits limits{};
-
-  // Stage loops over the whole batch; each stage reads the previous one's
-  // results straight out of the output array. When several settings are
-  // unlaunchable, which one's exception surfaces is unspecified (a scalar
-  // loop would throw at the first).
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i].geometry = codegen::compute_launch_geometry(inv.geometry,
-                                                       settings[i]);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i].resources = space::estimate_resources_core(
-        inv.order, inv.n_inputs, inv.n_outputs, settings[i], limits);
-    CSTUNER_CHECK_MSG(!out[i].resources.spilled,
-                      "profile() requires a non-spilled setting");
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i].occupancy = detail::memo_occupancy(
-        arch_, out[i].geometry.threads_per_block(),
-        out[i].resources.registers_per_thread,
-        out[i].resources.shared_mem_per_block);
-    if (out[i].occupancy.blocks_per_sm < 1) throw_unlaunchable(settings[i]);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i].memory = detail::memory_stage(arch_, inv, settings[i],
-                                         out[i].geometry.total_blocks(),
-                                         out[i].occupancy);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i].compute = detail::compute_stage(arch_, inv, settings[i],
-                                           out[i].geometry.total_blocks(),
-                                           out[i].occupancy);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i].time_ms = detail::combine_time_stage(inv, settings[i],
-                                                out[i].memory,
-                                                out[i].compute);
-    assemble_metrics(arch_, inv, out[i]);
-  }
 }
 
 void Simulator::profile_times_impl(

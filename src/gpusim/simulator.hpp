@@ -10,11 +10,11 @@
 // "runs" differ like real measurements.
 //
 // Throughput: per-(arch, stencil) invariants are hoisted once into a cached
-// StencilInvariants, and the batch entry points (profile_batch /
-// profile_times) run the model as stage loops over contiguous scratch
-// arrays with zero allocation per setting. Scalar and batch paths execute
-// the same inline stage bodies (model_kernels.hpp), so batch results are
-// bit-identical to profile() by construction (docs/performance.md).
+// StencilInvariants, and the batch entry point (profile_times) runs the
+// model as stage loops over contiguous scratch arrays with zero allocation
+// per setting. Scalar and batch paths execute the same inline stage bodies
+// (model_kernels.hpp), so batch results are bit-identical to profile() by
+// construction (docs/performance.md).
 
 #include <array>
 #include <atomic>
@@ -68,13 +68,6 @@ class Simulator {
   /// (zero-occupancy configurations).
   KernelProfile profile(const stencil::StencilSpec& spec,
                         const space::Setting& setting) const;
-
-  /// Batch profiling: out[i] = profile(spec, settings[i]), bit-identical,
-  /// computed as stage loops over the batch. Requires
-  /// out.size() == settings.size(); throws exactly where profile() would.
-  void profile_batch(const stencil::StencilSpec& spec,
-                     std::span<const space::Setting> settings,
-                     std::span<KernelProfile> out) const;
 
   /// Time-only batch oracle (the evaluator hot path): out_ms[i] =
   /// profile(spec, settings[i]).time_ms, bit-identical, via SoA scratch

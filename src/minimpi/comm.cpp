@@ -8,18 +8,6 @@
 
 namespace cstuner::minimpi {
 
-const char* comm_status_name(CommStatus status) {
-  switch (status) {
-    case CommStatus::kOk:
-      return "ok";
-    case CommStatus::kPeerDead:
-      return "peer_dead";
-    case CommStatus::kTimedOut:
-      return "timed_out";
-  }
-  return "?";
-}
-
 bool MembershipView::contains(int rank) const {
   return std::binary_search(live.begin(), live.end(), rank);
 }
@@ -47,12 +35,6 @@ int MembershipView::right_neighbor_of(int rank) const {
   return live[(i + 1) % live.size()];
 }
 
-void Comm::send(int dest, int tag, std::vector<std::uint8_t> payload) {
-  if (try_send(dest, tag, std::move(payload)) == CommStatus::kPeerDead) {
-    throw Error("minimpi: send to dead rank " + std::to_string(dest));
-  }
-}
-
 CommStatus Comm::try_send(int dest, int tag,
                           std::vector<std::uint8_t> payload) {
   CSTUNER_CHECK(dest >= 0 && dest < size_);
@@ -70,54 +52,18 @@ CommStatus Comm::try_send(int dest, int tag,
   return CommStatus::kOk;
 }
 
-Message Comm::recv(int source, int tag) {
+RecvOutcome Comm::try_recv(int source, int tag) {
   CSTUNER_CHECK(source >= 0 && source < size_);
   // The span shows how long this rank sat blocked on its peer — the
   // island-imbalance signal in a trace.
   CSTUNER_TRACE_SPAN("comm", "minimpi.recv_wait");
   CSTUNER_OBS_COUNT("minimpi.recvs", 1);
-  return ctx_->take(rank_, source, tag);
-}
-
-RecvOutcome Comm::try_recv(int source, int tag) {
-  CSTUNER_CHECK(source >= 0 && source < size_);
-  CSTUNER_TRACE_SPAN("comm", "minimpi.recv_wait");
-  CSTUNER_OBS_COUNT("minimpi.recvs", 1);
   RecvOutcome out;
-  out.status = ctx_->try_take(rank_, source, tag, nullptr, out.message);
+  out.status = ctx_->try_take(rank_, source, tag, out.message);
   if (out.status == CommStatus::kPeerDead) {
     CSTUNER_OBS_COUNT("minimpi.peer_dead", 1);
   }
   return out;
-}
-
-RecvOutcome Comm::try_recv(int source, int tag,
-                           std::chrono::milliseconds deadline) {
-  CSTUNER_CHECK(source >= 0 && source < size_);
-  CSTUNER_TRACE_SPAN("comm", "minimpi.recv_wait");
-  CSTUNER_OBS_COUNT("minimpi.recvs", 1);
-  const auto until = std::chrono::steady_clock::now() + deadline;
-  RecvOutcome out;
-  out.status = ctx_->try_take(rank_, source, tag, &until, out.message);
-  if (out.status == CommStatus::kPeerDead) {
-    CSTUNER_OBS_COUNT("minimpi.peer_dead", 1);
-  }
-  return out;
-}
-
-bool Comm::probe(int source, int tag) {
-  CSTUNER_CHECK(source >= 0 && source < size_);
-  return ctx_->peek(rank_, source, tag);
-}
-
-void Comm::barrier() {
-  CSTUNER_TRACE_SPAN("comm", "minimpi.barrier");
-  CSTUNER_OBS_COUNT("minimpi.barriers", 1);
-  if (ctx_->options().recover_killed_ranks) {
-    (void)ctx_->membership_sync(rank_);
-    return;
-  }
-  ctx_->barrier_wait();
 }
 
 MembershipView Comm::sync_membership() {
@@ -126,36 +72,8 @@ MembershipView Comm::sync_membership() {
   return ctx_->membership_sync(rank_);
 }
 
-MembershipView Comm::membership() const {
-  return ctx_->membership_snapshot();
-}
-
-bool Comm::is_alive(int rank) const {
-  CSTUNER_CHECK(rank >= 0 && rank < size_);
-  return !ctx_->is_dead(rank);
-}
-
-std::vector<double> Comm::allgather(double value) {
-  // Simple ring allgather: everyone sends to everyone (size is small — the
-  // GA uses a handful of sub-populations).
-  constexpr int kTag = 0x7fffff00;
-  for (int dest = 0; dest < size_; ++dest) {
-    if (dest == rank_) continue;
-    send_values<double>(dest, kTag, {value});
-  }
-  std::vector<double> out(static_cast<std::size_t>(size_), value);
-  for (int src = 0; src < size_; ++src) {
-    if (src == rank_) continue;
-    auto v = recv_values<double>(src, kTag);
-    CSTUNER_CHECK(v.size() == 1);
-    out[static_cast<std::size_t>(src)] = v[0];
-  }
-  return out;
-}
-
-Context::Context(int nranks, RunOptions options)
+Context::Context(int nranks)
     : nranks_(nranks),
-      options_(options),
       dead_(static_cast<std::size_t>(nranks)),
       sync_arrived_(static_cast<std::size_t>(nranks), 0) {
   CSTUNER_CHECK(nranks >= 1);
@@ -174,8 +92,6 @@ void Context::mark_dead(int rank) {
     { std::lock_guard<std::mutex> lock(box->mutex); }
     box->cv.notify_all();
   }
-  { std::lock_guard<std::mutex> lock(barrier_mutex_); }
-  barrier_cv_.notify_all();
   // A membership-sync round waiting on this rank can now complete without
   // it; drop any stale arrival and re-evaluate the round.
   {
@@ -195,76 +111,21 @@ void Context::post(int dest, Message message) {
   box.cv.notify_all();
 }
 
-Message Context::take(int dest, int source, int tag) {
-  Message out;
-  if (try_take(dest, source, tag, nullptr, out) == CommStatus::kPeerDead) {
-    throw Error("minimpi: recv from dead rank " + std::to_string(source));
-  }
-  return out;
-}
-
-CommStatus Context::try_take(
-    int dest, int source, int tag,
-    const std::chrono::steady_clock::time_point* deadline, Message& out) {
+CommStatus Context::try_take(int dest, int source, int tag, Message& out) {
   auto& box = *mailboxes_[static_cast<std::size_t>(dest)];
   std::unique_lock<std::mutex> lock(box.mutex);
-  auto scan = [&]() -> bool {
+  for (;;) {
     for (auto it = box.messages.begin(); it != box.messages.end(); ++it) {
       if (it->source == source && it->tag == tag) {
         out = std::move(*it);
         box.messages.erase(it);
-        return true;
+        return CommStatus::kOk;
       }
     }
-    return false;
-  };
-  for (;;) {
-    if (scan()) return CommStatus::kOk;
     // Nothing queued from `source`: if it died, nothing ever will be.
     // (Checked after the scan so messages sent before death still arrive.)
     if (is_dead(source)) return CommStatus::kPeerDead;
-    if (deadline == nullptr) {
-      box.cv.wait(lock);
-      continue;
-    }
-    if (box.cv.wait_until(lock, *deadline) == std::cv_status::timeout) {
-      // Final rescan: a message (or a death) that raced the deadline wins.
-      if (scan()) return CommStatus::kOk;
-      if (is_dead(source)) return CommStatus::kPeerDead;
-      return CommStatus::kTimedOut;
-    }
-  }
-}
-
-bool Context::peek(int dest, int source, int tag) {
-  auto& box = *mailboxes_[static_cast<std::size_t>(dest)];
-  std::lock_guard<std::mutex> lock(box.mutex);
-  for (const auto& m : box.messages) {
-    if (m.source == source && m.tag == tag) return true;
-  }
-  return false;
-}
-
-void Context::barrier_wait() {
-  std::unique_lock<std::mutex> lock(barrier_mutex_);
-  if (dead_count_.load(std::memory_order_acquire) > 0) {
-    throw Error("minimpi: barrier with dead rank");
-  }
-  const std::uint64_t generation = barrier_generation_;
-  if (++barrier_arrived_ == nranks_) {
-    barrier_arrived_ = 0;
-    ++barrier_generation_;
-    barrier_cv_.notify_all();
-    return;
-  }
-  barrier_cv_.wait(lock, [&] {
-    return barrier_generation_ != generation ||
-           dead_count_.load(std::memory_order_acquire) > 0;
-  });
-  if (barrier_generation_ == generation) {
-    // Woken by a death, not by completion: a missing rank can never arrive.
-    --barrier_arrived_;
-    throw Error("minimpi: barrier with dead rank");
+    box.cv.wait(lock);
   }
 }
 
@@ -307,23 +168,8 @@ MembershipView Context::membership_sync(int rank) {
   return sync_view_;
 }
 
-MembershipView Context::membership_snapshot() const {
-  MembershipView view;
-  view.epoch = static_cast<std::uint64_t>(
-      dead_count_.load(std::memory_order_acquire));
-  for (int r = 0; r < nranks_; ++r) {
-    if (!is_dead(r)) view.live.push_back(r);
-  }
-  return view;
-}
-
 void Context::run(int nranks, const std::function<void(Comm&)>& body) {
-  run(nranks, RunOptions{}, body);
-}
-
-void Context::run(int nranks, const RunOptions& options,
-                  const std::function<void(Comm&)>& body) {
-  Context ctx(nranks, options);
+  Context ctx(nranks);
   std::vector<std::thread> threads;
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(nranks));
   threads.reserve(static_cast<std::size_t>(nranks));
@@ -333,15 +179,12 @@ void Context::run(int nranks, const RunOptions& options,
       try {
         body(comm);
       } catch (const RankKilled&) {
-        // An injected crash: in recoverable runs the death is the whole
-        // point — record it and let the survivors carry on.
-        if (!options.recover_killed_ranks) {
-          errors[static_cast<std::size_t>(r)] = std::current_exception();
-        }
+        // An injected crash: the death is the whole point — record it and
+        // let the survivors carry on.
         ctx.mark_dead(r);
       } catch (...) {
         errors[static_cast<std::size_t>(r)] = std::current_exception();
-        // Fail loudly: peers blocked on this rank get an error, not a hang.
+        // Fail loudly: peers blocked on this rank see kPeerDead, not a hang.
         ctx.mark_dead(r);
       }
     });

@@ -3,29 +3,19 @@
 //
 // The paper runs the island genetic algorithm's sub-populations as MPI
 // processes with ring migration (Fig. 6).  This module reproduces the MPI
-// surface the GA needs — ranks, blocking point-to-point send/recv with tags,
-// barrier, and ring-topology helpers — with ranks mapped to threads so the
+// surface the GA needs — ranks, tagged point-to-point messages and an
+// agreed live-membership barrier — with ranks mapped to threads so the
 // whole framework stays a single dependency-free process.  The API is shaped
 // so a real MPI backend could replace it without touching the GA.
 //
-// Two failure disciplines coexist (docs/fault-tolerance.md, "Distributed
-// failures"):
-//
-//   hard-error (default)  Any operation touching a dead peer throws
-//                         cstuner::Error; Context::run rethrows. One crash
-//                         aborts the whole job — the right behaviour for
-//                         code that has no recovery story.
-//
-//   recoverable           Opted into per operation (try_send / try_recv /
-//                         sync_membership) and per run (RunOptions::
-//                         recover_killed_ranks). Dead peers yield a typed
-//                         CommStatus::kPeerDead outcome instead of an
-//                         exception, barriers complete over the *live*
-//                         membership set, and survivors agree on who is
-//                         alive through epoch-stamped MembershipViews.
+// Failures are recoverable (docs/fault-tolerance.md, "Distributed
+// failures"): a rank body that throws RankKilled is marked dead and its
+// survivors run on. Communication with a dead peer yields a typed
+// CommStatus::kPeerDead outcome instead of an exception, and survivors agree
+// on who is alive through epoch-stamped MembershipViews. Any other exception
+// still aborts the run: Context::run rethrows it once every rank has exited.
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstring>
@@ -52,10 +42,7 @@ struct Message {
 enum class CommStatus : std::uint8_t {
   kOk = 0,
   kPeerDead,  ///< the peer's body exited; the operation can never complete
-  kTimedOut,  ///< deadline elapsed with no matching message (try_recv only)
 };
-
-const char* comm_status_name(CommStatus status);
 
 /// Result of a recoverable receive: `message` is meaningful only for kOk.
 struct RecvOutcome {
@@ -84,21 +71,11 @@ struct MembershipView {
   int right_neighbor_of(int rank) const;
 };
 
-/// Thrown by a rank body to simulate that rank crashing. In a recoverable
-/// run (RunOptions::recover_killed_ranks) the context records the death and
-/// absorbs the exception — survivors keep running; in a hard-error run it
-/// propagates like any other error.
+/// Thrown by a rank body to simulate that rank crashing. The context
+/// records the death and absorbs the exception — survivors keep running.
 class RankKilled : public Error {
  public:
   using Error::Error;
-};
-
-/// Per-run behaviour switches for Context::run.
-struct RunOptions {
-  /// When true, a rank exiting via RankKilled is marked dead and absorbed
-  /// instead of rethrown, and Comm::barrier() degrades to the live-set
-  /// membership barrier. Any other exception still aborts the run.
-  bool recover_killed_ranks = false;
 };
 
 class Context;
@@ -109,76 +86,24 @@ class Comm {
   int rank() const { return rank_; }
   int size() const { return size_; }
 
-  /// Blocking tagged send of raw bytes to `dest`. Throws cstuner::Error if
-  /// `dest` has died (its body exited by exception) — a dead peer is a hard
-  /// error, never a silent drop.
-  void send(int dest, int tag, std::vector<std::uint8_t> payload);
-
-  /// Blocking receive of the next message from `source` with `tag`.
-  /// Messages `source` sent before dying are still delivered; once its
-  /// mailbox contribution is drained, receiving from a dead rank throws
-  /// cstuner::Error instead of blocking forever.
-  Message recv(int source, int tag);
-
-  /// Recoverable send: like send(), but a dead `dest` yields kPeerDead
-  /// instead of throwing.
+  /// Tagged send of raw bytes to `dest` (never blocks: mailboxes are
+  /// unbounded). A dead `dest` yields kPeerDead and drops the payload.
   CommStatus try_send(int dest, int tag, std::vector<std::uint8_t> payload);
 
-  /// Recoverable receive: blocks like recv(), but a dead `source` (with its
-  /// pre-death messages drained) yields kPeerDead instead of throwing. A
-  /// receiver already blocked when the peer dies wakes promptly.
+  /// Blocking receive of the next message from `source` with `tag`.
+  /// Messages `source` sent before dying are still delivered; once they are
+  /// drained, a dead `source` yields kPeerDead instead of blocking forever.
+  /// A receiver already blocked when the peer dies wakes promptly.
   RecvOutcome try_recv(int source, int tag);
-
-  /// Deadline-bounded recoverable receive: additionally yields kTimedOut if
-  /// no matching message arrives within `deadline`. Peer death still wakes
-  /// the caller immediately — it never sits out the full deadline on a
-  /// rank that can no longer send.
-  RecvOutcome try_recv(int source, int tag,
-                       std::chrono::milliseconds deadline);
-
-  /// True if a matching message is already queued (non-blocking probe).
-  bool probe(int source, int tag);
-
-  /// All ranks must call. Hard-error runs: returns when every rank has
-  /// arrived, throws cstuner::Error when a rank dies instead of leaving the
-  /// survivors blocked on an arrival that can never happen. Recoverable
-  /// runs: completes over the live membership set (sync_membership), so
-  /// survivors pass the barrier even after deaths.
-  void barrier();
 
   /// Generation-stamped barrier over the live membership set: returns once
   /// every currently-live rank has entered the same sync round, and hands
   /// every participant an identical MembershipView. A rank dying while
   /// others wait is dropped from the round's requirement, so survivors are
-  /// never stuck. Valid in both run modes; never throws on peer death.
+  /// never stuck. Never throws on peer death.
   MembershipView sync_membership();
 
-  /// Unagreed convenience snapshot of the live set (no synchronization —
-  /// use sync_membership when survivors must agree).
-  MembershipView membership() const;
-
-  bool is_alive(int rank) const;
-
-  /// Ring topology helpers (single-ring migration, as in the paper). These
-  /// are the *static* full-ring neighbours; recoverable code should derive
-  /// neighbours from an agreed MembershipView instead.
-  int left_neighbor() const { return (rank_ + size_ - 1) % size_; }
-  int right_neighbor() const { return (rank_ + 1) % size_; }
-
   /// Typed convenience wrappers for trivially copyable element types.
-  template <typename T>
-  void send_values(int dest, int tag, const std::vector<T>& values) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    send(dest, tag, pack_values(values));
-  }
-
-  template <typename T>
-  std::vector<T> recv_values(int source, int tag) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    Message m = recv(source, tag);
-    return unpack_values<T>(m);
-  }
-
   template <typename T>
   CommStatus try_send_values(int dest, int tag, const std::vector<T>& values) {
     static_assert(std::is_trivially_copyable_v<T>);
@@ -193,9 +118,6 @@ class Comm {
     if (!out.ok()) return std::nullopt;
     return unpack_values<T>(out.message);
   }
-
-  /// Gather one double from every rank to every rank (allgather).
-  std::vector<double> allgather(double value);
 
  private:
   friend class Context;
@@ -230,42 +152,30 @@ class Comm {
 class Context {
  public:
   /// Run `body` on `nranks` ranks (threads); joins all before returning.
-  /// Exceptions thrown by any rank are captured and the first is rethrown.
+  /// A rank exiting via RankKilled is marked dead and absorbed; survivors
+  /// run to completion. Any other exception also marks its rank dead (so
+  /// peers blocked on it wake), and the first one is rethrown after the
+  /// join.
   static void run(int nranks, const std::function<void(Comm&)>& body);
-
-  /// As above with explicit behaviour switches. With
-  /// options.recover_killed_ranks, RankKilled exceptions mark the rank dead
-  /// and are absorbed; survivors run to completion and run() returns
-  /// normally unless a rank failed with a genuine error.
-  static void run(int nranks, const RunOptions& options,
-                  const std::function<void(Comm&)>& body);
 
  private:
   friend class Comm;
 
-  Context(int nranks, RunOptions options);
+  explicit Context(int nranks);
 
   void post(int dest, Message message);
-  Message take(int dest, int source, int tag);
-  /// Recoverable take: fills `out` on kOk. A null `deadline` blocks until a
-  /// message arrives or the source dies.
-  CommStatus try_take(int dest, int source, int tag,
-                      const std::chrono::steady_clock::time_point* deadline,
-                      Message& out);
-  bool peek(int dest, int source, int tag);
-  void barrier_wait();
+  /// Fills `out` on kOk; blocks until a message arrives or the source dies.
+  CommStatus try_take(int dest, int source, int tag, Message& out);
   /// Live-set barrier round for `rank`; returns the agreed view.
   MembershipView membership_sync(int rank);
-  MembershipView membership_snapshot() const;
   /// Declares a rank dead (its body threw) and wakes every blocked peer so
-  /// sends, receives, barriers and membership syncs involving it resolve
-  /// promptly instead of hanging.
+  /// receives and membership syncs involving it resolve promptly instead of
+  /// hanging.
   void mark_dead(int rank);
   bool is_dead(int rank) const {
     return dead_[static_cast<std::size_t>(rank)].load(
         std::memory_order_acquire);
   }
-  const RunOptions& options() const { return options_; }
 
   /// With sync_mutex_ held: if every live rank has arrived, publish the
   /// view, reset arrivals and advance the round. Returns true on completion.
@@ -278,15 +188,9 @@ class Context {
   };
 
   int nranks_;
-  RunOptions options_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::vector<std::atomic<bool>> dead_;
   std::atomic<int> dead_count_{0};
-
-  std::mutex barrier_mutex_;
-  std::condition_variable barrier_cv_;
-  int barrier_arrived_ = 0;
-  std::uint64_t barrier_generation_ = 0;
 
   // Membership-sync state: a generation-stamped barrier over the live set.
   std::mutex sync_mutex_;

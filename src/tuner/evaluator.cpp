@@ -1,7 +1,6 @@
 #include "tuner/evaluator.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cmath>
 #include <exception>
@@ -75,37 +74,9 @@ void Evaluator::set_checkpoint(Checkpoint* checkpoint) {
   checkpoint_ = checkpoint;
 }
 
-void Evaluator::count_cache_hits(std::size_t shard_idx, std::uint64_t hits) {
-#if !defined(CSTUNER_OBS_DISABLED)
-  // Per-shard hit counters expose cache skew (a hot shard means hash
-  // clustering); the counter references resolve once, so the hit path
-  // never builds a metric name.
-  static const auto shard_hits = [] {
-    std::array<obs::Counter*, kCacheShards> counters{};
-    std::string name = "evaluator.cache_hits.shard00";
-    for (std::size_t s = 0; s < kCacheShards; ++s) {
-      name[name.size() - 2] = static_cast<char>('0' + s / 10);
-      name[name.size() - 1] = static_cast<char>('0' + s % 10);
-      counters[s] = &obs::metrics().counter(name);
-    }
-    return counters;
-  }();
-  shard_hits[shard_idx]->add(hits);
-  CSTUNER_OBS_COUNT("evaluator.cache_hits", hits);
-#else
-  (void)shard_idx;
-  (void)hits;
-#endif
-}
-
 void Evaluator::reserve_cache(std::size_t expected_unique) {
-  // Spread over the shards with headroom for hash skew; each shard table
-  // rounds up to a power of two under its 7/8 load ceiling.
-  const std::size_t per_shard = expected_unique / kCacheShards + 8;
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.map.reserve(per_shard);
-  }
+  std::lock_guard<std::mutex> lock(cache_mutex_);
+  cache_.reserve(expected_unique);
 }
 
 void Evaluator::precheck(const space::Setting& setting) const {
@@ -365,7 +336,10 @@ EvalResult Evaluator::commit_one(std::uint64_t key,
   if (result.ok()) {
     // Tick-quantized before accumulation: integer sums are associative, so
     // the flushed total is bit-identical to per-eval charging.
-    totals.virtual_ticks += success_cost_ticks(result.time_ms);
+    totals.virtual_ticks +=
+        to_ticks(costs_.compile_s +
+                 costs_.runs_per_eval *
+                     (result.time_ms / 1e3 + costs_.launch_overhead_s));
     ++totals.evals;
   }
 
@@ -476,43 +450,21 @@ std::vector<EvalResult> Evaluator::evaluate_batch(
     const std::size_t end = std::min(begin + kProbeChunk, n);
     for (std::size_t i = begin; i < end; ++i) keys[i] = settings[i].hash();
 
-    // Cache probes for the whole chunk, grouped by shard: one lock per
-    // shard touched instead of one per slot. A batch never mutates the
-    // cache during phase 1, so lookup order within the chunk is
-    // irrelevant. The counting sort keeps the grouping O(chunk) instead of
-    // one sweep per shard.
-    std::array<std::uint8_t, kProbeChunk> chunk_order;
-    std::array<std::uint8_t, kCacheShards + 1> shard_start{};
-    for (std::size_t i = begin; i < end; ++i) {
-      ++shard_start[shard_index(keys[i]) + 1];
-    }
-    for (std::size_t s = 0; s < kCacheShards; ++s) {
-      shard_start[s + 1] =
-          static_cast<std::uint8_t>(shard_start[s + 1] + shard_start[s]);
-    }
-    std::array<std::uint8_t, kCacheShards> cursor;
-    std::copy_n(shard_start.begin(), kCacheShards, cursor.begin());
-    for (std::size_t i = begin; i < end; ++i) {
-      chunk_order[cursor[shard_index(keys[i])]++] =
-          static_cast<std::uint8_t>(i - begin);
-    }
-    for (std::size_t s = 0; s < kCacheShards; ++s) {
-      if (shard_start[s] == shard_start[s + 1]) continue;
-      Shard& shard = shards_[s];
-      std::uint64_t hits = 0;
-      {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        for (std::size_t j = shard_start[s]; j < shard_start[s + 1]; ++j) {
-          const std::size_t i = begin + chunk_order[j];
-          if (const EvalResult* found = shard.map.find(keys[i])) {
-            probes[i].state = Probe::State::kCached;
-            probes[i].result = *found;
-            ++hits;
-          }
+    // Cache probes for the whole chunk under one lock acquisition. A batch
+    // never mutates the cache during phase 1, so the probes see only what
+    // earlier (or concurrent) batches committed.
+    std::uint64_t hits = 0;
+    {
+      std::lock_guard<std::mutex> lock(cache_mutex_);
+      for (std::size_t i = begin; i < end; ++i) {
+        if (const EvalResult* found = cache_.find(keys[i])) {
+          probes[i].state = Probe::State::kCached;
+          probes[i].result = *found;
+          ++hits;
         }
       }
-      if (hits != 0) count_cache_hits(s, hits);
     }
+    if (hits != 0) CSTUNER_OBS_COUNT("evaluator.cache_hits", hits);
 
     for (std::size_t i = begin; i < end; ++i) {
       if (probes[i].state == Probe::State::kCached) continue;
@@ -530,35 +482,23 @@ std::vector<EvalResult> Evaluator::evaluate_batch(
     thread_local std::vector<space::ResourceUsage> pending_usages;
     thread_local std::vector<double> pending_times;
     pending.clear();
+    pending_settings.clear();
     pending_usages.clear();
     for (std::size_t i = begin; i < end; ++i) {
       if (probes[i].needs_time) {
         pending.push_back(i);
+        pending_settings.push_back(settings[i]);
         pending_usages.push_back(probes[i].usage);
       }
     }
     if (pending.empty()) return;
-    // When every slot measures (the fresh-tune steady state), the pending
-    // list IS the chunk: hand the original subspan to the oracle instead of
-    // copying 64 Settings per chunk. Same elements in the same order, so
-    // the results are bit-identical to the gathered path.
-    std::span<const space::Setting> oracle_settings;
-    if (pending.size() == end - begin) {
-      oracle_settings = settings.subspan(begin, end - begin);
-    } else {
-      pending_settings.clear();
-      for (const std::size_t i : pending) {
-        pending_settings.push_back(settings[i]);
-      }
-      oracle_settings = pending_settings;
-    }
     pending_times.assign(pending.size(), 0.0);
     try {
       if (usage_reusable_) {
-        simulator_.profile_times(*inv_, oracle_settings, pending_usages,
+        simulator_.profile_times(*inv_, pending_settings, pending_usages,
                                  pending_times);
       } else {
-        simulator_.profile_times(*inv_, oracle_settings, pending_times);
+        simulator_.profile_times(*inv_, pending_settings, pending_times);
       }
     } catch (...) {
       // Cannot happen for constraint-valid settings (validity implies
@@ -584,52 +524,31 @@ std::vector<EvalResult> Evaluator::evaluate_batch(
     for (std::size_t c = 0; c < chunks; ++c) probe_chunk(c);
   }
 
-  // Phase 2a (sequential): the cache step of every measured slot, grouped
-  // by shard — one lock per shard per batch instead of one per slot.
-  // Within a shard the slots run in input order, the only order
-  // first-writer-wins can observe (keys in different shards never
-  // collide). A losing duplicate — earlier in this batch, or a concurrent
-  // batch's insert — converts to kCached carrying the winner's value, so
-  // the commit loop below serves it and charges nothing.
-  std::vector<std::uint32_t> measured_order;
-  measured_order.reserve(n);
-  std::array<std::uint32_t, kCacheShards + 1> measured_start{};
-  for (std::size_t i = 0; i < n; ++i) {
-    if (probes[i].state == Probe::State::kMeasured) {
-      ++measured_start[shard_index(keys[i]) + 1];
-    }
-  }
-  for (std::size_t s = 0; s < kCacheShards; ++s) {
-    measured_start[s + 1] += measured_start[s];
-  }
-  measured_order.resize(measured_start[kCacheShards]);
+  // Phase 2a (sequential, input order): the cache step of every measured
+  // or quarantined slot under one lock acquisition — first writer wins. A
+  // losing duplicate — earlier in this batch, or a concurrent batch's
+  // insert — converts to kCached carrying the winner's value, so the commit
+  // loop below serves it and charges nothing. A quarantine verdict yields
+  // to the cache as well: it means a concurrent batch cached and
+  // quarantined a permanent failure between this slot's cache probe and its
+  // quarantine probe, and a serial caller would have been served from the
+  // cache without counting a quarantine hit.
   {
-    std::array<std::uint32_t, kCacheShards> cursor;
-    std::copy_n(measured_start.begin(), kCacheShards, cursor.begin());
+    std::lock_guard<std::mutex> lock(cache_mutex_);
     for (std::size_t i = 0; i < n; ++i) {
-      if (probes[i].state == Probe::State::kMeasured) {
-        measured_order[cursor[shard_index(keys[i])]++] =
-            static_cast<std::uint32_t>(i);
-      }
-    }
-  }
-  for (std::size_t s = 0; s < kCacheShards; ++s) {
-    if (measured_start[s] == measured_start[s + 1]) continue;
-    Shard& shard = shards_[s];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    for (std::size_t j = measured_start[s]; j < measured_start[s + 1]; ++j) {
-      const std::size_t i = measured_order[j];
       Probe& probe = probes[i];
-      if (is_cacheable(probe.result)) {
-        const auto [slot, inserted] =
-            shard.map.try_emplace(keys[i], probe.result);
-        if (!inserted) {
-          probe.state = Probe::State::kCached;
-          probe.result = *slot;
-        }
-      } else if (const EvalResult* found = shard.map.find(keys[i])) {
+      const EvalResult* cached = nullptr;
+      if (probe.state == Probe::State::kMeasured &&
+          is_cacheable(probe.result)) {
+        const auto [slot, inserted] = cache_.try_emplace(keys[i], probe.result);
+        if (!inserted) cached = slot;
+      } else if (probe.state == Probe::State::kMeasured ||
+                 probe.state == Probe::State::kQuarantine) {
+        cached = cache_.find(keys[i]);
+      }
+      if (cached != nullptr) {
         probe.state = Probe::State::kCached;
-        probe.result = *found;
+        probe.result = *cached;
       }
     }
   }
@@ -642,23 +561,6 @@ std::vector<EvalResult> Evaluator::evaluate_batch(
   // trace update needs the exact running totals).
   CommitTotals totals;
   for (std::size_t i = 0; i < n; ++i) {
-    // Inline fast path: a clean first-attempt success that phase 2a already
-    // cached and that cannot be a new best. This replicates commit_one's
-    // exact route for that case — accumulate the clock charge, skip the
-    // fault/journal/trace machinery — without the call; everything else
-    // (faults, replays, dups, new bests, active checkpoints) drops to the
-    // full commit.
-    const Probe& probe = probes[i];
-    if (probe.state == Probe::State::kMeasured && checkpoint_ == nullptr &&
-        probe.result.ok() && probe.result.attempts <= 1 && !probe.replayed &&
-        probe.overhead_ticks == 0 &&
-        !(probe.result.time_ms <
-          std::bit_cast<double>(best_bits_.load(std::memory_order_acquire)))) {
-      totals.virtual_ticks += success_cost_ticks(probe.result.time_ms);
-      ++totals.evals;
-      results[i] = probe.result;
-      continue;
-    }
     results[i] = commit_one(keys[i], settings[i], probes[i], totals);
   }
   flush_commit_totals(totals);
@@ -738,29 +640,6 @@ void Evaluator::mark_iteration() {
       checkpoint_->write_snapshot(serialize_state());
     }
   }
-}
-
-void Evaluator::reset() {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.map.clear();
-  }
-  virtual_time_ticks_.store(0, std::memory_order_release);
-  unique_evals_.store(0, std::memory_order_release);
-  iterations_.store(0, std::memory_order_release);
-  fault_overhead_ticks_.store(0, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lock(fault_mutex_);
-    stats_ = FaultStats{};
-    fail_counts_.clear();
-    quarantine_.clear();
-    quarantine_count_.store(0, std::memory_order_release);
-  }
-  std::lock_guard<std::mutex> lock(result_mutex_);
-  best_time_ms_ = std::numeric_limits<double>::infinity();
-  best_setting_.reset();
-  best_bits_.store(0x7ff0000000000000ULL, std::memory_order_release);
-  trace_.clear();
 }
 
 }  // namespace cstuner::tuner

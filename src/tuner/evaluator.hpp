@@ -22,8 +22,9 @@
 //     replayed so the continuation is bit-identical to an unkilled run.
 //
 // The engine is thread-safe and batch-parallel (docs/threading.md):
-//   - the result cache is sharded across kCacheShards mutex-guarded maps,
-//     so concurrent lookups rarely contend;
+//   - the result cache is one flat table under one mutex, taken once per
+//     probe chunk and once per batch commit, so it never sees per-setting
+//     lock traffic;
 //   - the virtual clock accumulates integer picosecond ticks in an atomic.
 //     Integer addition is associative, so the clock reads bit-identically
 //     no matter which thread charged which evaluation first;
@@ -105,9 +106,9 @@ class Evaluator {
   std::vector<EvalResult> evaluate_batch(
       std::span<const space::Setting> settings);
 
-  /// Sizes the result-cache shards for an expected number of unique
-  /// settings (typically the sampled universe size), so the flat tables
-  /// never rehash mid-tune. Call before tuning; safe to skip (shards grow
+  /// Sizes the result cache for an expected number of unique settings
+  /// (typically the sampled universe size), so the flat table never
+  /// rehashes mid-tune. Call before tuning; safe to skip (the table grows
   /// on demand) and to call concurrently with nothing in flight.
   void reserve_cache(std::size_t expected_unique);
 
@@ -150,7 +151,6 @@ class Evaluator {
   /// same seed. A config with no rates disarms injection.
   void set_fault_injection(const gpusim::FaultConfig& config,
                            const std::string& scope);
-  bool fault_injection_armed() const { return injector_.has_value(); }
   /// The armed injector (nullptr when injection is off) — shared with the
   /// offline dataset collection so it sees the same fault pattern.
   const FaultInjector* fault_injector() const {
@@ -165,7 +165,6 @@ class Evaluator {
   void set_kill_plan(std::vector<RankKill> plan, const std::string& scope);
 
   void set_retry_policy(const RetryPolicy& policy);
-  const RetryPolicy& retry_policy() const { return policy_; }
 
   /// Snapshot of the failure counters (fills fault_overhead_s from the
   /// tick-exact accumulator).
@@ -188,7 +187,6 @@ class Evaluator {
   /// that has already started always commits whole (the cancellation
   /// granularity is one batch). nullptr disarms.
   void set_cancel_flag(const std::atomic<bool>* flag) { cancel_flag_ = flag; }
-  const std::atomic<bool>* cancel_flag() const { return cancel_flag_; }
 
   /// Per-request deadline charged to the virtual clock: once
   /// virtual_time_s() has reached `seconds`, the next evaluation throws
@@ -197,7 +195,6 @@ class Evaluator {
   /// across worker counts and across checkpoint/resume cycles. Infinity
   /// (the default) disables.
   void set_virtual_deadline(double seconds) { virtual_deadline_s_ = seconds; }
-  double virtual_deadline_s() const { return virtual_deadline_s_; }
 
   // --- Checkpoint/resume --------------------------------------------------
 
@@ -218,30 +215,15 @@ class Evaluator {
   /// ten thousand evaluations later. Off by default (it generates and parses
   /// the kernel source per unique setting).
   void set_debug_precheck(bool enabled) { debug_precheck_ = enabled; }
-  bool debug_precheck() const { return debug_precheck_; }
-
-  /// Resets clock, cache, best, trace, quarantine and fault statistics
-  /// (fresh tuning run); keeps the injector, policy and checkpoint
-  /// attachment. Not safe concurrently with evaluations.
-  void reset();
 
  private:
   /// Virtual-clock resolution: 1 tick = 1 ps. Costs round to a tick, so
   /// ~2^62 ps (~50 virtual days) fit before overflow — far beyond any run.
   static constexpr double kTicksPerSecond = 1e12;
-  static constexpr std::size_t kCacheShards = 16;
   /// evaluate_batch probe granularity. Chunking is by batch position only —
   /// never by worker count — so the chunk a slot lands in (and therefore
   /// every bit of the result) is identical with 0 or 16 workers.
   static constexpr std::size_t kProbeChunk = 64;
-
-  struct Shard {
-    std::mutex mutex;
-    /// Open-addressing flat table (common/flat_hash.hpp): setting keys are
-    /// already avalanched 64-bit hashes, so identity hashing plus linear
-    /// probing beats unordered_map's node allocations on the hot path.
-    FlatHashMap<EvalResult> map;
-  };
 
   /// Outcome of the pure (parallel-phase) half of one evaluation.
   struct Probe {
@@ -275,10 +257,6 @@ class Evaluator {
     std::uint64_t evals = 0;
   };
 
-  static std::size_t shard_index(std::uint64_t key) {
-    // The low bits feed the flat table's probe already; shard on high ones.
-    return (key >> 56) & (kCacheShards - 1);
-  }
   /// Throws CancelledError/DeadlineError at the evaluation entry points;
   /// mutates nothing.
   void check_cancelled() const;
@@ -288,9 +266,6 @@ class Evaluator {
     return result.ok() || result.status == EvalStatus::kCompileFail ||
            result.status == EvalStatus::kCrash;
   }
-  /// Bumps the per-shard and total cache-hit counters (no-op when the
-  /// observability layer is compiled out).
-  static void count_cache_hits(std::size_t shard_idx, std::uint64_t hits);
   /// Debug-mode static analysis of the kernel for `setting`; throws
   /// ConstraintError when the analyzer reports an error-severity diagnostic.
   void precheck(const space::Setting& setting) const;
@@ -309,7 +284,7 @@ class Evaluator {
   /// Pure — safe to run in the parallel phase.
   Probe run_attempt_ladder(std::uint64_t key, int max_attempts) const;
   /// Pure phase-1 work for one setting whose cache probe missed (the batch
-  /// resolves the cache under a shard-grouped lock): quarantine probe,
+  /// resolves the cache under the cache lock): quarantine probe,
   /// validity, replay lookup, then the attempt ladder.
   Probe probe_uncached(std::uint64_t key, const space::Setting& setting,
                        int max_attempts);
@@ -332,14 +307,6 @@ class Evaluator {
   /// Rounds a cost to whole clock ticks (all charges are tick-quantized so
   /// accumulation order cannot change the total).
   static std::int64_t to_ticks(double seconds);
-  /// Virtual-clock charge of one successful measurement (compile plus
-  /// runs_per_eval timed launches), in ticks. Shared by commit_one and the
-  /// batch commit fast path so the two charge identically.
-  std::int64_t success_cost_ticks(double time_ms) const {
-    return to_ticks(costs_.compile_s +
-                    costs_.runs_per_eval *
-                        (time_ms / 1e3 + costs_.launch_overhead_s));
-  }
 
   const gpusim::Simulator& simulator_;
   const space::SearchSpace& space_;
@@ -362,7 +329,11 @@ class Evaluator {
   const std::atomic<bool>* cancel_flag_ = nullptr;
   double virtual_deadline_s_ = std::numeric_limits<double>::infinity();
 
-  std::vector<Shard> shards_{kCacheShards};
+  std::mutex cache_mutex_;
+  /// Open-addressing flat table (common/flat_hash.hpp): setting keys are
+  /// already avalanched 64-bit hashes, so identity hashing plus linear
+  /// probing beats unordered_map's node allocations on the hot path.
+  FlatHashMap<EvalResult> cache_;
   std::atomic<std::int64_t> virtual_time_ticks_{0};
   std::atomic<std::size_t> unique_evals_{0};
   std::atomic<std::size_t> iterations_{0};

@@ -1,13 +1,28 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 
 #include "common/error.hpp"
 #include "minimpi/comm.hpp"
 
 namespace cstuner::minimpi {
 namespace {
+
+// Messaging through the recoverable calls, expecting a live peer.
+template <typename T>
+void send(Comm& comm, int dest, int tag, const std::vector<T>& values) {
+  EXPECT_EQ(comm.try_send_values<T>(dest, tag, values), CommStatus::kOk);
+}
+
+template <typename T>
+std::vector<T> recv(Comm& comm, int source, int tag) {
+  auto values = comm.try_recv_values<T>(source, tag);
+  EXPECT_TRUE(values.has_value()) << "rank " << source << " died";
+  return values.value_or(std::vector<T>{});
+}
 
 TEST(MiniMpi, SingleRankRuns) {
   int observed_size = 0;
@@ -27,13 +42,13 @@ TEST(MiniMpi, RanksAreDistinct) {
 TEST(MiniMpi, PointToPointRoundTrip) {
   Context::run(2, [](Comm& comm) {
     if (comm.rank() == 0) {
-      comm.send_values<int>(1, 7, {1, 2, 3});
-      const auto reply = comm.recv_values<int>(1, 8);
+      send<int>(comm, 1, 7, {1, 2, 3});
+      const auto reply = recv<int>(comm, 1, 8);
       EXPECT_EQ(reply, (std::vector<int>{6}));
     } else {
-      const auto data = comm.recv_values<int>(0, 7);
+      const auto data = recv<int>(comm, 0, 7);
       const int sum = std::accumulate(data.begin(), data.end(), 0);
-      comm.send_values<int>(0, 8, {sum});
+      send<int>(comm, 0, 8, {sum});
     }
   });
 }
@@ -41,12 +56,12 @@ TEST(MiniMpi, PointToPointRoundTrip) {
 TEST(MiniMpi, TagsAreMatchedIndependently) {
   Context::run(2, [](Comm& comm) {
     if (comm.rank() == 0) {
-      comm.send_values<int>(1, /*tag=*/1, {10});
-      comm.send_values<int>(1, /*tag=*/2, {20});
+      send<int>(comm, 1, /*tag=*/1, {10});
+      send<int>(comm, 1, /*tag=*/2, {20});
     } else {
       // Receive in the opposite order of sending.
-      EXPECT_EQ(comm.recv_values<int>(0, 2), (std::vector<int>{20}));
-      EXPECT_EQ(comm.recv_values<int>(0, 1), (std::vector<int>{10}));
+      EXPECT_EQ(recv<int>(comm, 0, 2), (std::vector<int>{20}));
+      EXPECT_EQ(recv<int>(comm, 0, 1), (std::vector<int>{10}));
     }
   });
 }
@@ -54,10 +69,10 @@ TEST(MiniMpi, TagsAreMatchedIndependently) {
 TEST(MiniMpi, FifoPerSourceAndTag) {
   Context::run(2, [](Comm& comm) {
     if (comm.rank() == 0) {
-      for (int i = 0; i < 10; ++i) comm.send_values<int>(1, 3, {i});
+      for (int i = 0; i < 10; ++i) send<int>(comm, 1, 3, {i});
     } else {
       for (int i = 0; i < 10; ++i) {
-        EXPECT_EQ(comm.recv_values<int>(0, 3), (std::vector<int>{i}));
+        EXPECT_EQ(recv<int>(comm, 0, 3), (std::vector<int>{i}));
       }
     }
   });
@@ -66,92 +81,27 @@ TEST(MiniMpi, FifoPerSourceAndTag) {
 TEST(MiniMpi, EmptyPayloadSupported) {
   Context::run(2, [](Comm& comm) {
     if (comm.rank() == 0) {
-      comm.send(1, 4, {});
+      EXPECT_EQ(comm.try_send(1, 4, {}), CommStatus::kOk);
     } else {
-      const Message m = comm.recv(0, 4);
-      EXPECT_TRUE(m.payload.empty());
-      EXPECT_EQ(m.source, 0);
-      EXPECT_EQ(m.tag, 4);
+      const RecvOutcome out = comm.try_recv(0, 4);
+      ASSERT_TRUE(out.ok());
+      EXPECT_TRUE(out.message.payload.empty());
+      EXPECT_EQ(out.message.source, 0);
+      EXPECT_EQ(out.message.tag, 4);
     }
-  });
-}
-
-TEST(MiniMpi, ProbeSeesPendingMessage) {
-  Context::run(2, [](Comm& comm) {
-    if (comm.rank() == 0) {
-      comm.send_values<int>(1, 9, {1});
-      comm.barrier();
-    } else {
-      comm.barrier();  // after barrier the message must be queued
-      EXPECT_TRUE(comm.probe(0, 9));
-      EXPECT_FALSE(comm.probe(0, 10));
-      (void)comm.recv_values<int>(0, 9);
-      EXPECT_FALSE(comm.probe(0, 9));
-    }
-  });
-}
-
-TEST(MiniMpi, BarrierSynchronizesPhases) {
-  std::atomic<int> phase1{0};
-  std::atomic<bool> violated{false};
-  Context::run(4, [&](Comm& comm) {
-    (void)comm;
-    ++phase1;
-    comm.barrier();
-    if (phase1.load() != 4) violated = true;
-    comm.barrier();
-  });
-  EXPECT_FALSE(violated.load());
-}
-
-TEST(MiniMpi, BarrierReusableManyTimes) {
-  std::atomic<int> counter{0};
-  Context::run(3, [&](Comm& comm) {
-    for (int i = 0; i < 20; ++i) {
-      comm.barrier();
-      ++counter;
-    }
-  });
-  EXPECT_EQ(counter.load(), 60);
-}
-
-TEST(MiniMpi, RingNeighborsFormSingleRing) {
-  Context::run(5, [](Comm& comm) {
-    EXPECT_EQ((comm.rank() + 1) % 5, comm.right_neighbor());
-    EXPECT_EQ((comm.rank() + 4) % 5, comm.left_neighbor());
-  });
-}
-
-TEST(MiniMpi, RingPassAroundAccumulates) {
-  Context::run(4, [](Comm& comm) {
-    // Token starts at 0, each rank adds its rank, one full circle.
-    if (comm.rank() == 0) {
-      comm.send_values<int>(comm.right_neighbor(), 5, {0});
-      const auto token = comm.recv_values<int>(comm.left_neighbor(), 5);
-      EXPECT_EQ(token[0], 0 + 1 + 2 + 3);
-    } else {
-      auto token = comm.recv_values<int>(comm.left_neighbor(), 5);
-      token[0] += comm.rank();
-      comm.send_values<int>(comm.right_neighbor(), 5, token);
-    }
-  });
-}
-
-TEST(MiniMpi, AllgatherCollectsEveryRank) {
-  Context::run(4, [](Comm& comm) {
-    const auto all = comm.allgather(static_cast<double>(comm.rank() * 10));
-    ASSERT_EQ(all.size(), 4u);
-    for (int r = 0; r < 4; ++r) EXPECT_EQ(all[r], r * 10.0);
   });
 }
 
 TEST(MiniMpi, ExceptionInRankPropagates) {
+  // Rank 0 blocks on the failing rank; the failure must wake it and then
+  // surface from run().
   EXPECT_THROW(Context::run(2,
                             [](Comm& comm) {
-                              comm.barrier();
                               if (comm.rank() == 1) {
                                 throw UsageError("rank 1 failed");
                               }
+                              EXPECT_EQ(comm.try_recv(1, 2).status,
+                                        CommStatus::kPeerDead);
                             }),
                UsageError);
 }
@@ -162,11 +112,11 @@ TEST(MiniMpi, ManyRanksAllToAllStress) {
     // Every rank sends a distinct payload to every other rank.
     for (int dest = 0; dest < n; ++dest) {
       if (dest == comm.rank()) continue;
-      comm.send_values<int>(dest, 11, {comm.rank() * 100 + dest});
+      send<int>(comm, dest, 11, {comm.rank() * 100 + dest});
     }
     for (int src = 0; src < n; ++src) {
       if (src == comm.rank()) continue;
-      const auto got = comm.recv_values<int>(src, 11);
+      const auto got = recv<int>(comm, src, 11);
       EXPECT_EQ(got[0], src * 100 + comm.rank());
     }
   });
@@ -176,9 +126,9 @@ TEST(MiniMpi, InterleavedTagsAcrossGenerations) {
   Context::run(2, [](Comm& comm) {
     for (int round = 0; round < 20; ++round) {
       if (comm.rank() == 0) {
-        comm.send_values<int>(1, round % 3, {round});
+        send<int>(comm, 1, round % 3, {round});
       } else {
-        EXPECT_EQ(comm.recv_values<int>(0, round % 3)[0], round);
+        EXPECT_EQ(recv<int>(comm, 0, round % 3)[0], round);
       }
     }
   });
@@ -191,9 +141,9 @@ TEST(MiniMpi, LargePayloadRoundTrip) {
       big[i] = static_cast<double>(i) * 0.5;
     }
     if (comm.rank() == 0) {
-      comm.send_values<double>(1, 21, big);
+      send<double>(comm, 1, 21, big);
     } else {
-      EXPECT_EQ(comm.recv_values<double>(0, 21), big);
+      EXPECT_EQ(recv<double>(comm, 0, 21), big);
     }
   });
 }
@@ -202,149 +152,68 @@ TEST(MiniMpi, TypedRoundTripPreservesDoubles) {
   Context::run(2, [](Comm& comm) {
     const std::vector<double> payload = {1.5, -2.25, 1e300, 0.0};
     if (comm.rank() == 0) {
-      comm.send_values<double>(1, 6, payload);
+      send<double>(comm, 1, 6, payload);
     } else {
-      EXPECT_EQ(comm.recv_values<double>(0, 6), payload);
+      EXPECT_EQ(recv<double>(comm, 0, 6), payload);
     }
   });
-}
-
-TEST(MiniMpi, RecvFromDeadRankThrowsInsteadOfHanging) {
-  // Rank 1 dies without ever sending; rank 0's blocking recv must turn into
-  // a hard error, not a hang.  Rank 0 swallows the induced error so the
-  // original UsageError from rank 1 is what propagates out of run().
-  std::atomic<bool> recv_failed{false};
-  EXPECT_THROW(Context::run(2,
-                            [&](Comm& comm) {
-                              if (comm.rank() == 1) {
-                                throw UsageError("rank 1 dies");
-                              }
-                              try {
-                                comm.recv_values<int>(1, 3);
-                              } catch (const Error&) {
-                                recv_failed = true;
-                              }
-                            }),
-               UsageError);
-  EXPECT_TRUE(recv_failed.load());
-}
-
-TEST(MiniMpi, SendToDeadRankThrows) {
-  std::atomic<bool> send_failed{false};
-  EXPECT_THROW(Context::run(2,
-                            [&](Comm& comm) {
-                              if (comm.rank() == 1) {
-                                throw UsageError("rank 1 dies");
-                              }
-                              // Learn of the death via the failing recv, then
-                              // verify a subsequent send also fails fast.
-                              try {
-                                comm.recv_values<int>(1, 3);
-                              } catch (const Error&) {
-                              }
-                              try {
-                                comm.send_values<int>(1, 4, {42});
-                              } catch (const Error&) {
-                                send_failed = true;
-                              }
-                            }),
-               UsageError);
-  EXPECT_TRUE(send_failed.load());
-}
-
-TEST(MiniMpi, BarrierWithDeadRankThrows) {
-  std::atomic<int> barrier_failures{0};
-  EXPECT_THROW(Context::run(3,
-                            [&](Comm& comm) {
-                              if (comm.rank() == 1) {
-                                throw UsageError("rank 1 dies");
-                              }
-                              try {
-                                comm.barrier();
-                              } catch (const Error&) {
-                                barrier_failures.fetch_add(1);
-                              }
-                            }),
-               UsageError);
-  // Both survivors must have been released with an error, not left blocked.
-  EXPECT_EQ(barrier_failures.load(), 2);
 }
 
 TEST(MiniMpi, MessagesSentBeforeDeathStillDelivered) {
-  // A dead rank's queued messages are drained before recv reports the death.
+  // A failed rank's queued messages are drained before try_recv reports
+  // the death.
   std::atomic<bool> got_payload{false};
-  std::atomic<bool> second_recv_failed{false};
+  std::atomic<bool> second_recv_peer_dead{false};
   EXPECT_THROW(Context::run(2,
                             [&](Comm& comm) {
                               if (comm.rank() == 1) {
-                                comm.send_values<int>(0, 5, {99});
+                                send<int>(comm, 0, 5, {99});
                                 throw UsageError("rank 1 dies after send");
                               }
-                              try {
-                                const auto got = comm.recv_values<int>(1, 5);
-                                got_payload = (got == std::vector<int>{99});
-                                comm.recv_values<int>(1, 5);
-                              } catch (const Error&) {
-                                second_recv_failed = true;
-                              }
+                              got_payload = recv<int>(comm, 1, 5) ==
+                                            std::vector<int>{99};
+                              second_recv_peer_dead =
+                                  comm.try_recv(1, 5).status ==
+                                  CommStatus::kPeerDead;
                             }),
                UsageError);
   EXPECT_TRUE(got_payload.load());
-  EXPECT_TRUE(second_recv_failed.load());
+  EXPECT_TRUE(second_recv_peer_dead.load());
 }
 
-// --- Recoverable mode: typed outcomes, membership views, live barriers.
-
-RunOptions recoverable() {
-  RunOptions options;
-  options.recover_killed_ranks = true;
-  return options;
-}
-
-TEST(MiniMpiRecoverable, TryRecvDeadlineTimesOut) {
-  // Nobody ever sends: the deadline variant must report kTimedOut instead
-  // of blocking forever.
-  Context::run(2, recoverable(), [](Comm& comm) {
-    if (comm.rank() != 0) return;
-    const RecvOutcome out =
-        comm.try_recv(1, 3, std::chrono::milliseconds(50));
-    EXPECT_EQ(out.status, CommStatus::kTimedOut);
-    EXPECT_FALSE(out.ok());
-  });
-}
+// --- Rank deaths: typed outcomes and membership views.
 
 TEST(MiniMpiRecoverable, TryRecvWakesPromptlyOnPeerDeath) {
-  // The receiver probes (sees nothing), releases the sender to die, then
-  // blocks in try_recv with a deadline far beyond the test timeout. The
-  // death must wake it promptly — kPeerDead long before the deadline — not
-  // leave it hanging until the clock runs out.
+  // The receiver releases the peer, then blocks in try_recv on a message
+  // that never comes. The peer dies while the receiver is blocked; the
+  // death must wake it with kPeerDead instead of leaving it blocked forever
+  // (a missed wakeup hangs this test until ctest's timeout).
   std::atomic<bool> woke_with_peer_dead{false};
   std::atomic<long> wait_ms{-1};
-  Context::run(2, recoverable(), [&](Comm& comm) {
+  Context::run(2, [&](Comm& comm) {
     if (comm.rank() == 1) {
-      // Die only after rank 0 has peeked and is about to block.
-      comm.recv_values<int>(0, 1);
+      recv<int>(comm, 0, 1);
+      // Give rank 0 time to block before dying.
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
       throw RankKilled("rank 1 killed");
     }
-    EXPECT_FALSE(comm.probe(1, 3));  // peek: nothing queued yet
-    comm.send_values<int>(1, 1, {0});  // release the sender to die
+    send<int>(comm, 1, 1, {0});  // release the peer to die
     const auto t0 = std::chrono::steady_clock::now();
-    const RecvOutcome out =
-        comm.try_recv(1, 3, std::chrono::milliseconds(60000));
+    const RecvOutcome out = comm.try_recv(1, 3);
     const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
         std::chrono::steady_clock::now() - t0);
     woke_with_peer_dead = (out.status == CommStatus::kPeerDead);
     wait_ms = elapsed.count();
   });
   EXPECT_TRUE(woke_with_peer_dead.load());
-  // Generous bound: promptness means "the death woke us", not "we sat out
-  // the 60 s deadline".
+  // Generous bound: the death woke the receiver, not some unrelated wakeup
+  // long after it.
   EXPECT_LT(wait_ms.load(), 10000);
 }
 
 TEST(MiniMpiRecoverable, TrySendToDeadPeerReturnsPeerDead) {
   std::atomic<bool> saw_peer_dead{false};
-  Context::run(2, recoverable(), [&](Comm& comm) {
+  Context::run(2, [&](Comm& comm) {
     if (comm.rank() == 1) throw RankKilled("rank 1 killed");
     // Learn of the death via try_recv, then verify try_send agrees.
     EXPECT_EQ(comm.try_recv(1, 3).status, CommStatus::kPeerDead);
@@ -357,9 +226,9 @@ TEST(MiniMpiRecoverable, TrySendToDeadPeerReturnsPeerDead) {
 TEST(MiniMpiRecoverable, TryRecvDrainsQueuedMessagesBeforeReportingDeath) {
   std::atomic<bool> got_payload{false};
   std::atomic<bool> then_peer_dead{false};
-  Context::run(2, recoverable(), [&](Comm& comm) {
+  Context::run(2, [&](Comm& comm) {
     if (comm.rank() == 1) {
-      comm.send_values<int>(0, 5, {99});
+      send<int>(comm, 0, 5, {99});
       throw RankKilled("rank 1 killed after send");
     }
     const auto got = comm.try_recv_values<int>(1, 5);
@@ -373,31 +242,19 @@ TEST(MiniMpiRecoverable, TryRecvDrainsQueuedMessagesBeforeReportingDeath) {
 TEST(MiniMpiRecoverable, RunAbsorbsKilledRanksButPropagatesRealErrors) {
   // RankKilled is absorbed (survivors finish, run returns normally)...
   std::atomic<int> survivors{0};
-  Context::run(3, recoverable(), [&](Comm& comm) {
+  Context::run(3, [&](Comm& comm) {
     if (comm.rank() == 1) throw RankKilled("injected");
     survivors.fetch_add(1);
   });
   EXPECT_EQ(survivors.load(), 2);
-  // ...while a genuine error still aborts the run, and in hard-error mode
-  // even RankKilled propagates.
-  EXPECT_THROW(Context::run(2, recoverable(),
+  // ...while a genuine error still aborts the run.
+  EXPECT_THROW(Context::run(2,
                             [](Comm& comm) {
                               if (comm.rank() == 1) {
                                 throw UsageError("real bug");
                               }
                             }),
                UsageError);
-  EXPECT_THROW(Context::run(2,
-                            [](Comm& comm) {
-                              if (comm.rank() == 1) {
-                                throw RankKilled("killed");
-                              }
-                              try {
-                                comm.recv_values<int>(1, 1);
-                              } catch (const Error&) {
-                              }
-                            }),
-               RankKilled);
 }
 
 TEST(MiniMpiRecoverable, SyncMembershipAgreesAcrossSurvivors) {
@@ -405,7 +262,7 @@ TEST(MiniMpiRecoverable, SyncMembershipAgreesAcrossSurvivors) {
   // must be identical: epoch 1, live = {0, 1, 3}.
   std::mutex mu;
   std::vector<MembershipView> views;
-  Context::run(4, recoverable(), [&](Comm& comm) {
+  Context::run(4, [&](Comm& comm) {
     if (comm.rank() == 2) throw RankKilled("rank 2 killed");
     const MembershipView view = comm.sync_membership();
     std::lock_guard<std::mutex> lock(mu);
@@ -420,7 +277,7 @@ TEST(MiniMpiRecoverable, SyncMembershipAgreesAcrossSurvivors) {
 
 TEST(MiniMpiRecoverable, SyncMembershipIsReusableAndStable) {
   std::atomic<bool> all_stable{true};
-  Context::run(3, recoverable(), [&](Comm& comm) {
+  Context::run(3, [&](Comm& comm) {
     for (int round = 0; round < 5; ++round) {
       const MembershipView view = comm.sync_membership();
       if (view.epoch != 0 || view.live != std::vector<int>{0, 1, 2}) {
@@ -429,19 +286,6 @@ TEST(MiniMpiRecoverable, SyncMembershipIsReusableAndStable) {
     }
   });
   EXPECT_TRUE(all_stable.load());
-}
-
-TEST(MiniMpiRecoverable, BarrierCompletesOverLiveSetAfterDeath) {
-  // In recoverable mode barrier() is the live-set membership barrier:
-  // survivors pass it after a death instead of throwing.
-  std::atomic<int> passed{0};
-  Context::run(3, recoverable(), [&](Comm& comm) {
-    if (comm.rank() == 1) throw RankKilled("rank 1 killed");
-    comm.barrier();
-    comm.barrier();
-    passed.fetch_add(1);
-  });
-  EXPECT_EQ(passed.load(), 2);
 }
 
 TEST(MiniMpiRecoverable, MembershipViewRingNeighbors) {

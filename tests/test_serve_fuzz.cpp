@@ -117,7 +117,10 @@ class ServeFuzzFixture : public ::testing::Test {
  protected:
   void SetUp() override {
     ServeOptions serve_options;
-    serve_options.state_dir = fresh_dir("state");
+    // One state directory per test: ctest runs these tests in parallel.
+    serve_options.state_dir = fresh_dir(
+        std::string("state_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name());
     serve_options.warm_start = false;
     // Tight request limits: a mutated frame that survives parsing as a
     // valid request (e.g. a flipped "stencil" key falling back to the

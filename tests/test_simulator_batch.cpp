@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cstdint>
+#include <set>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/flat_hash.hpp"
@@ -12,9 +16,11 @@
 #include "gpusim/model_kernels.hpp"
 #include "gpusim/occupancy.hpp"
 #include "gpusim/simulator.hpp"
+#include "io/fault_vfs.hpp"
 #include "space/search_space.hpp"
 #include "space/setting.hpp"
 #include "stencil/stencils.hpp"
+#include "tuner/checkpoint.hpp"
 #include "tuner/evaluator.hpp"
 
 namespace cstuner {
@@ -40,28 +46,6 @@ std::vector<space::Setting> valid_universe(const space::SearchSpace& space,
 
 class SimulatorBatchIdentity
     : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {};
-
-TEST_P(SimulatorBatchIdentity, ProfileBatchBitIdenticalToScalarProfile) {
-  const auto& [stencil_name, arch_name] = GetParam();
-  const stencil::StencilSpec spec = stencil::make_stencil(stencil_name);
-  space::SearchSpace space(spec);
-  const auto universe = valid_universe(space, 400);
-  ASSERT_FALSE(universe.empty());
-  gpusim::Simulator sim(gpusim::arch_by_name(arch_name));
-
-  std::vector<gpusim::KernelProfile> batch(universe.size());
-  sim.profile_batch(spec, universe, batch);
-  for (std::size_t i = 0; i < universe.size(); ++i) {
-    const gpusim::KernelProfile scalar = sim.profile(spec, universe[i]);
-    ASSERT_EQ(bits(scalar.time_ms), bits(batch[i].time_ms)) << i;
-    for (std::size_t m = 0; m < gpusim::kMetricCount; ++m) {
-      ASSERT_EQ(bits(scalar.metrics[m]), bits(batch[i].metrics[m]))
-          << "metric " << m << " of setting " << i;
-    }
-    ASSERT_EQ(scalar.occupancy.blocks_per_sm, batch[i].occupancy.blocks_per_sm);
-    ASSERT_EQ(bits(scalar.occupancy.occupancy), bits(batch[i].occupancy.occupancy));
-  }
-}
 
 TEST_P(SimulatorBatchIdentity, ProfileTimesBothOverloadsMatchScalarProfile) {
   const auto& [stencil_name, arch_name] = GetParam();
@@ -246,9 +230,9 @@ TEST(EvaluatorBatch, BitIdenticalAcrossWorkerCountsCleanAndFaulted) {
 }
 
 TEST(EvaluatorBatch, BatchMatchesSerialEvaluateResultBitForBit) {
-  // Covers the batch commit fast path: a fresh engine fed one setting at a
-  // time through the scalar entry point must agree with the batch engine on
-  // every field, including the virtual clock.
+  // A fresh engine fed one setting at a time through the scalar entry point
+  // must agree with the batch engine on every field, including the virtual
+  // clock.
   const stencil::StencilSpec spec = stencil::make_stencil("helmholtz");
   space::SearchSpace space(spec);
   Rng rng(11);
@@ -331,6 +315,116 @@ TEST(EvaluatorBatch, QuarantinedSettingsStayQuarantinedInLaterBatches) {
       // Everything else is served from the result cache, bit for bit.
       EXPECT_EQ(first[i].status, second[i].status) << i;
       EXPECT_EQ(bits(first[i].time_ms), bits(second[i].time_ms)) << i;
+    }
+  }
+}
+
+/// What a run of several batches leaves behind that the Evaluator promises
+/// does not depend on commit order.
+struct ConcurrentOutcome {
+  std::uint64_t virtual_time_bits = 0;
+  std::size_t unique_evals = 0;
+  std::string state;  ///< serialize_state(): fault stats and quarantine
+  std::set<std::uint64_t> journaled;
+  std::vector<std::vector<std::uint64_t>> slot_bits;
+};
+
+ConcurrentOutcome run_overlapping_batches(
+    const gpusim::Simulator& sim, const space::SearchSpace& space,
+    const std::vector<std::vector<space::Setting>>& batches, double fault_rate,
+    bool concurrent) {
+  io::FaultVfs vfs;
+  ConcurrentOutcome out;
+  {
+    ThreadPool pool(2);
+    tuner::Checkpoint checkpoint("ckpt", &vfs);
+    tuner::Evaluator eval(sim, space, {}, 1, &pool);
+    if (fault_rate > 0.0) {
+      eval.set_fault_injection(gpusim::FaultConfig::uniform(fault_rate),
+                               "test");
+    }
+    eval.set_checkpoint(&checkpoint);
+    std::vector<std::vector<tuner::EvalResult>> results(batches.size());
+    if (concurrent) {
+      // Release every caller at once so their phases overlap.
+      std::atomic<std::size_t> ready{0};
+      std::vector<std::thread> threads;
+      for (std::size_t t = 0; t < batches.size(); ++t) {
+        threads.emplace_back([&, t] {
+          ready.fetch_add(1);
+          while (ready.load() < batches.size()) std::this_thread::yield();
+          results[t] = eval.evaluate_batch(batches[t]);
+        });
+      }
+      for (auto& thread : threads) thread.join();
+    } else {
+      for (std::size_t t = 0; t < batches.size(); ++t) {
+        results[t] = eval.evaluate_batch(batches[t]);
+      }
+    }
+    checkpoint.flush();
+    out.virtual_time_bits = bits(eval.virtual_time_s());
+    out.unique_evals = eval.unique_evaluations();
+    out.state = eval.serialize_state();
+    for (const auto& batch : results) {
+      auto& slots = out.slot_bits.emplace_back();
+      for (const auto& r : batch) slots.push_back(bits(r.time_ms));
+    }
+  }
+  tuner::Checkpoint reread("ckpt", &vfs);
+  reread.load();
+  for (const auto& [key, entry] : reread.replay()) out.journaled.insert(key);
+  return out;
+}
+
+TEST(EvaluatorBatch, ConcurrentOverlappingBatchesMatchSerial) {
+  // The island GA's calling pattern: several threads drive one engine with
+  // batches that share keys with each other and repeat keys within
+  // themselves. The trace may interleave differently, but the clock, the
+  // unique count, the fault statistics, the quarantine and the journal must
+  // equal those of the same batches committed one after another.
+  const stencil::StencilSpec spec = stencil::make_stencil("j3d7pt");
+  space::SearchSpace space(spec);
+  Rng rng(77);
+  const auto pool_settings = space.sample_universe(rng, 120);
+  ASSERT_EQ(pool_settings.size(), 120u);
+  gpusim::Simulator sim(gpusim::a100());
+
+  // Batch t takes 40 consecutive settings starting at 30t (wrapping), so
+  // each batch shares 10 keys with each ring neighbour, then repeats 8 of
+  // its own: 48 slots.
+  std::vector<std::vector<space::Setting>> batches(4);
+  for (std::size_t t = 0; t < batches.size(); ++t) {
+    auto& batch = batches[t];
+    for (std::size_t j = 0; j < 40; ++j) {
+      batch.push_back(pool_settings[(30 * t + j) % pool_settings.size()]);
+    }
+    for (std::size_t j = 0; j < 8; ++j) batch.push_back(batch[5 * j]);
+  }
+
+  for (const double rate : {0.0, 0.2}) {
+    const ConcurrentOutcome serial =
+        run_overlapping_batches(sim, space, batches, rate, false);
+    EXPECT_FALSE(serial.journaled.empty());
+    if (rate > 0.0) {
+      // The storm must exercise the quarantine, not just clean commits.
+      EXPECT_EQ(serial.state.find("\"quarantine\":[]"), std::string::npos);
+    }
+    for (int round = 0; round < 5; ++round) {
+      const ConcurrentOutcome concurrent =
+          run_overlapping_batches(sim, space, batches, rate, true);
+      EXPECT_EQ(serial.virtual_time_bits, concurrent.virtual_time_bits)
+          << "rate " << rate << " round " << round;
+      EXPECT_EQ(serial.unique_evals, concurrent.unique_evals)
+          << "rate " << rate << " round " << round;
+      EXPECT_EQ(serial.state, concurrent.state)
+          << "rate " << rate << " round " << round;
+      EXPECT_EQ(serial.journaled, concurrent.journaled)
+          << "rate " << rate << " round " << round;
+      if (rate == 0.0) {
+        EXPECT_EQ(serial.slot_bits, concurrent.slot_bits)
+            << "round " << round;
+      }
     }
   }
 }

@@ -204,17 +204,6 @@ TEST_F(EvaluatorTest, TraceRecordsImprovementsMonotonically) {
   }
 }
 
-TEST_F(EvaluatorTest, ResetClearsEverything) {
-  evaluator_.evaluate(valid_setting());
-  evaluator_.mark_iteration();
-  evaluator_.reset();
-  EXPECT_DOUBLE_EQ(evaluator_.virtual_time_s(), 0.0);
-  EXPECT_EQ(evaluator_.unique_evaluations(), 0u);
-  EXPECT_EQ(evaluator_.iterations(), 0u);
-  EXPECT_FALSE(evaluator_.best_setting().has_value());
-  EXPECT_TRUE(evaluator_.trace().points.empty());
-}
-
 TEST_F(EvaluatorTest, StopCriteriaByIterationAndTime) {
   StopCriteria by_iter;
   by_iter.max_iterations = 2;

@@ -78,6 +78,19 @@ chaos_tests() {
 }
 run_stage "chaos-tests(rank-kill/ring-heal)" chaos_tests || true
 
+# Concurrency-repeat gate (docs/threading.md): the suites that drive one
+# Evaluator, one thread pool or one minimpi context from several threads
+# at once — concurrent overlapping batches, worker-count determinism, rank
+# deaths, island GA migration, survival acceptance — rerun until one fails
+# (at most 20 times each), so an interleaving-dependent race has twenty
+# chances to show instead of one.
+concurrency_repeat() {
+  ctest --test-dir "${BUILD}" --output-on-failure -j "$(nproc)" \
+    -R 'EvaluatorBatch|ParallelEval|MiniMpi|IslandGa|SurvivalFixture' \
+    --repeat until-fail:20
+}
+run_stage "concurrency-repeat(until-fail:20)" concurrency_repeat || true
+
 # Serve recovery gate (docs/serving.md): the daemon's concurrent session
 # scheduling, drain/park/re-adopt resume and deadline isolation run under
 # the sanitizers (the TSan configuration is the interesting one — sessions

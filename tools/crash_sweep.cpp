@@ -100,7 +100,8 @@ Fingerprint run_tune(io::Vfs& vfs, const SweepConfig& config) {
   checkpoint.write_snapshot(evaluator.serialize_state());
 
   Fingerprint fp;
-  fp.best_setting = evaluator.best_setting()->to_string();
+  const auto& best = evaluator.best_setting();
+  fp.best_setting = best.has_value() ? best->to_string() : "none";
   fp.best_time_bits = std::bit_cast<std::uint64_t>(evaluator.best_time_ms());
   fp.virtual_time_bits =
       std::bit_cast<std::uint64_t>(evaluator.virtual_time_s());

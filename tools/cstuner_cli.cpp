@@ -624,7 +624,11 @@ int cmd_tune(const Args& args) {
     json.field("arch", sim.arch().name);
     json.field("method", tuner->name());
     json.field("best_time_ms", evaluator.best_time_ms());
-    json.field("best_setting", evaluator.best_setting()->to_string());
+    if (const auto& best = evaluator.best_setting(); best.has_value()) {
+      json.field("best_setting", best->to_string());
+    } else {
+      json.raw_field("best_setting", "null");  // nothing was measured
+    }
     json.field("evaluations", evaluator.unique_evaluations());
     json.field("iterations", evaluator.iterations());
     json.field("virtual_time_s", evaluator.virtual_time_s());
@@ -648,10 +652,11 @@ int cmd_tune(const Args& args) {
     json.end_object();
     std::cout << json.str() << '\n';
   } else {
+    const auto& best = evaluator.best_setting();
     std::cout << "method:        " << tuner->name() << '\n'
               << "best time:     " << evaluator.best_time_ms() << " ms\n"
-              << "best setting:  " << evaluator.best_setting()->to_string()
-              << '\n'
+              << "best setting:  "
+              << (best.has_value() ? best->to_string() : "none") << '\n'
               << "evaluations:   " << evaluator.unique_evaluations() << '\n'
               << "virtual time:  " << evaluator.virtual_time_s() << " s\n";
     if (cs_tuner != nullptr && cs_tuner->report().universe_exact_count > 0) {
